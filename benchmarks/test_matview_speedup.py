@@ -1,9 +1,9 @@
 """Materialized-view rewrite speedup on the Q17-shaped grouped aggregate.
 
-The tentpole claim of the matview subsystem: a query whose canonical
-fingerprint a materialized view answers runs at least 5x faster when
-the optimizer transparently rewrites it to re-aggregate the view's
-backing rows (a few hundred groups) instead of scanning ``lineitem``
+The tentpole claim of the matview subsystem: a query aggregate a
+materialized view answers runs at least 5x faster when the optimizer
+substitutes a re-aggregation of the view's backing rows (a few
+hundred groups) for the scan of ``lineitem``
 (tens of thousands of rows).  Both sides go through the full
 ``Database.execute`` path with warm plan caches, so the measured gap is
 the scan the view avoids — not compilation.

@@ -392,9 +392,9 @@ def matview_speedup_report(scale_factor: float = 0.01,
     materialized view answering it.
 
     The view stores the §3.3 local-aggregate form of the per-partkey
-    quantity aggregate; the rewrite recompiles the query to re-aggregate
-    the view's (partkey-grouped, so already tiny) backing rows instead
-    of scanning ``lineitem``.  Both sides run through ``Database.execute``
+    quantity aggregate; the optimizer's view-substitution rule plans the
+    query as a re-aggregation of the view's (partkey-grouped, so already
+    tiny) backing rows instead of a scan of ``lineitem``.  Both sides run through ``Database.execute``
     with warmed plan caches, so the measured gap is purely the scan the
     view avoids.  Returns the ``BENCH_matview.json`` payload.
     """

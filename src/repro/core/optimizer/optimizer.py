@@ -12,7 +12,7 @@ the benchmark harness uses these switches as the paper's "systems" axis
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from ... import faultinject
 from ...algebra import RelationalOp
@@ -125,7 +125,8 @@ class Optimizer:
                  index_provider: Callable[[str], list[tuple[str, ...]]],
                  config: OptimizerConfig | None = None,
                  governor=None, corrections=None,
-                 zone_provider=None) -> None:
+                 zone_provider=None,
+                 extra_rules: Sequence[Rule] = ()) -> None:
         self.stats_provider = stats_provider
         self.index_provider = index_provider
         self.config = config or OptimizerConfig()
@@ -141,6 +142,9 @@ class Optimizer:
         #: Estimator this optimizer creates so corrected estimates steer
         #: join ordering, implementation choices and segment costing.
         self.corrections = corrections
+        #: Rules explored after the configured ones, whatever the config
+        #: switches say (the materialized-view substitution rule).
+        self.extra_rules = tuple(extra_rules)
 
     def optimize(self, rel: RelationalOp) -> PhysicalOp:
         return self.optimize_with_cost(rel).plan
@@ -217,6 +221,7 @@ class Optimizer:
         enter the memo and the work list.  A global expression budget keeps
         large join orders from exploding."""
         rules = [r for r in DEFAULT_RULES if self.config.rule_enabled(r)]
+        rules.extend(self.extra_rules)
         if not rules:
             return
         from collections import deque

@@ -45,8 +45,8 @@ from .executor.vectorized import DEFAULT_BATCH_SIZE, VectorizedExecutor
 from .feedback import (DEFAULT_Q_ERROR_THRESHOLD, FeedbackLoop,
                        render_tree, tree_dict, tree_max_q_error)
 from .governor import OptimizerBudget, QueryStats, ResourceGovernor
-from .matview import MatViewDef, MatViewManager, canonicalize, match_rewrite
-from .physical import PhysicalOp, explain_physical
+from .matview import MatViewDef, MatViewManager, ViewSubstitution
+from .physical import PhysicalOp, PIndexSeek, PTableScan, explain_physical
 from .plancache import CachedPlan, PlanCache, normalize_sql_key
 from .sql import MatViewStatement, parse, split_explain, split_matview_ddl
 from .executor.vector_expressions import split_conjuncts
@@ -228,6 +228,24 @@ class QueryResult:
         return f"QueryResult({self.names}, {len(self.rows)} rows)"
 
 
+def _resolvable(snapshot, names: Sequence[str]) -> bool:
+    """Whether every table in ``names`` exists in ``snapshot``."""
+    try:
+        for name in names:
+            snapshot.get(name)
+    except ReproError:
+        return False
+    return True
+
+
+def _matview_section(matviews: Sequence[str]) -> list[str]:
+    """EXPLAIN's header naming the materialized views a plan reads."""
+    if not matviews:
+        return []
+    return ["-- materialized view --",
+            f"rewritten to scan {', '.join(matviews)}"]
+
+
 def bind_parameters(parameters: Sequence, params: Params) -> tuple:
     """Match user-supplied bindings against a statement's parameter list.
 
@@ -355,9 +373,7 @@ class Database:
                  fsync: bool = True,
                  checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
                  morsel_workers: int = 1,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 matview_rewrite: bool = True
-                 ) -> None:
+                 chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
         if default_engine not in ENGINES:
             raise ValueError(
                 f"unknown execution engine {default_engine!r}; "
@@ -393,13 +409,10 @@ class Database:
         self._sessions_lock = TrackedLock("db.sessions")
         self._open_sessions: set[str] = set()
         #: Materialized views (repro.matview): lifecycle, transparent
-        #: rewrite and per-commit incremental maintenance.  The storage
+        #: substitution and per-commit incremental maintenance.  The storage
         #: hook makes every transactional install fold its deltas into
         #: affected view backings within the same snapshot swap.
         self.matviews = MatViewManager(self)
-        #: Master switch for transparent view rewriting; per-query
-        #: override via ``execute(..., use_matviews=...)``.
-        self.matview_rewrite = matview_rewrite
         self.storage.matviews = self.matviews
         # -- durability (repro.durability) -----------------------------
         # ``path=None`` (the default) is a purely in-memory database:
@@ -664,8 +677,8 @@ class Database:
                 # The backing table (schema and rows) already arrived
                 # via the table image above; only the definition needs
                 # re-registering.
-                self.catalog.create_matview(
-                    MatViewDef.from_sql(matview["name"], matview["sql"]))
+                self.catalog.create_matview(MatViewDef.from_sql(
+                    matview["name"], matview["sql"], self._binder))
             self.corrections.load_state(checkpoint.get("corrections", []))
         except ReproError as exc:
             raise RecoveryError(
@@ -692,12 +705,11 @@ class Database:
         elif kind == "create_view":
             self.catalog.create_view(record["name"], record["sql"])
         elif kind == "create_matview":
-            viewdef = MatViewDef.from_sql(record["name"], record["sql"])
-            base = self.catalog.get_table(viewdef.table)
-            backing = viewdef.backing_def(base)
-            self.catalog.create_matview(viewdef, backing)
+            viewdef = MatViewDef.from_sql(record["name"], record["sql"],
+                                          self._binder)
+            self.catalog.create_matview(viewdef, viewdef.backing)
             # Contents are rebuilt wholesale at the end of recovery.
-            self.storage.create(backing)
+            self.storage.create(viewdef.backing)
         elif kind == "drop_matview":
             self.catalog.drop_matview(record["name"])
             self.storage.drop(record["name"])
@@ -753,10 +765,9 @@ class Database:
         isolation; plans and the plan cache are unaffected (a plan is
         data-version agnostic).
 
-        ``use_matviews`` overrides the database's
-        :attr:`matview_rewrite` switch for this one statement: ``False``
-        forces the query to run against base tables even when a
-        materialized view matches (``True`` re-enables per query).
+        ``use_matviews=False`` forces the query to run against base
+        tables even when a materialized view could answer it; by default
+        the optimizer may substitute any view (see :mod:`repro.matview`).
 
         ``CREATE MATERIALIZED VIEW name AS select``, ``DROP MATERIALIZED
         VIEW name`` and ``REFRESH MATERIALIZED VIEW name`` are routed to
@@ -789,24 +800,18 @@ class Database:
         started = time.monotonic()
         if gov is not None:
             gov.start()
-        allow_rewrite = (self.matview_rewrite if use_matviews is None
-                         else use_matviews)
         entry = self._cached_plan(sql, resolved, gov,
                                   engine=resolved_engine,
-                                  allow_rewrite=allow_rewrite)
-        if entry.matview_name is not None and snapshot is not None:
+                                  use_matviews=use_matviews is not False)
+        if entry.matviews and snapshot is not None \
+                and not _resolvable(snapshot, entry.matviews):
             # A pinned snapshot may predate the view (or a transaction
-            # may hold staged-but-unmaintained writes): when the backing
+            # may hold staged-but-unmaintained writes): when a backing
             # table is not resolvable from the snapshot, recompile
             # against base tables instead of failing mid-execution.
-            try:
-                snapshot.get(entry.matview_name)
-            except ReproError:
-                entry = self._cached_plan(sql, resolved, gov,
-                                          engine=resolved_engine,
-                                          allow_rewrite=False)
-        if entry.matview_name is not None:
-            self.matviews.note_rewrite()
+            entry = self._cached_plan(sql, resolved, gov,
+                                      engine=resolved_engine,
+                                      use_matviews=False)
         values = bind_parameters(entry.parameters, params)
         degraded = entry.degraded
         reason = entry.fallback_reason
@@ -856,9 +861,12 @@ class Database:
             # not be built: interpret the bound logical tree directly.
             return self._run_naive(entry.rel, values, gov, snapshot,
                                    profile)
-        return self._executor_for(entry.engine).run_prepared(
+        rows = self._executor_for(entry.engine).run_prepared(
             entry.executable, values, gov, storage=snapshot,
             profile=profile)
+        if entry.matviews:
+            self.matviews.note_rewrite()
+        return rows
 
     def _executor_for(self, engine: str):
         return self._vectorized if engine == "vectorized" else self._executor
@@ -932,7 +940,7 @@ class Database:
     def _cached_plan(self, sql: str, mode: ExecutionMode,
                      gov: ResourceGovernor | None = None,
                      engine: str = "tuple",
-                     allow_rewrite: bool = True) -> CachedPlan:
+                     use_matviews: bool = True) -> CachedPlan:
         """The compiled form of ``sql``, from cache or built fresh.
 
         Fault-tolerant: a failing plan-cache lookup is a cache miss, a
@@ -941,23 +949,19 @@ class Database:
         Degraded entries are returned but never admitted to the cache, so
         one optimizer hiccup cannot pin a bad plan for future queries.
 
-        Rewrite-enabled and rewrite-disabled compilations of the same
-        text cache under distinct mode keys (``"<mode>"`` vs
+        View-enabled and view-disabled compilations of the same text
+        cache under distinct mode keys (``"<mode>"`` vs
         ``"<mode>#raw"``): a ``use_matviews=False`` execution must never
         be served a view-scanning plan.  The key depends only on what
         the caller *requested* — never on whether views currently exist,
         which a concurrent DROP/CREATE cycle can flip between sampling
         it and consulting the cache; keying on that racy state once let
-        a raw lookup land on a rewritten entry.  Only ``#raw`` entries
-        are guaranteed view-free, so the snapshot-guard recompile in
-        :meth:`execute` relies on exactly that invariant.
+        a raw lookup land on a view-scanning entry.  Only ``#raw``
+        entries are guaranteed view-free, so the snapshot-guard
+        recompile in :meth:`execute` relies on exactly that invariant.
         """
         sql_key = normalize_sql_key(sql)
-        requested = allow_rewrite and self.matview_rewrite
-        rewriting = requested and self.catalog.has_matviews()
-        mode_key = mode.name
-        if not requested:
-            mode_key += "#raw"
+        mode_key = mode.name if use_matviews else mode.name + "#raw"
         try:
             entry = self.plan_cache.get(sql_key, mode_key,
                                         self.catalog.version, engine)
@@ -965,14 +969,8 @@ class Database:
             entry = None
         if entry is not None:
             return entry
-        bound, fingerprint, matview_name, rewritten_sql = \
-            self._bind_with_rewrite(sql, rewriting)
-        table_names = frozenset(
-            get.table_name.lower()
-            for get in collect_nodes(bound.rel,
-                                     lambda n: isinstance(n, Get)))
-        if fingerprint is not None:
-            table_names |= {fingerprint.table}
+        catalog_version = self.catalog.version
+        bound = self._binder.bind(parse(sql))
         degraded = False
         reason: str | None = None
         if mode.use_naive_interpreter:
@@ -987,7 +985,8 @@ class Database:
                 if analyzer is not None:
                     analyzer.check_logical(normalized,
                                            stage="admission:logical")
-                plan = self._optimizer(mode, gov).optimize(normalized)
+                plan = self._optimizer(mode, gov, use_matviews).optimize(
+                    normalized)
                 executable = self._executor_for(engine).prepare(plan)
                 if analyzer is not None:
                     analyzer.check_physical(plan,
@@ -998,10 +997,16 @@ class Database:
                 reason = f"{type(exc).__name__}: {exc}"
                 plan, executable = self._degraded_plan(mode, normalized,
                                                        engine)
+        matviews = self._scanned_matviews(plan)
+        table_names = frozenset(
+            get.table_name.lower()
+            for get in collect_nodes(bound.rel,
+                                     lambda n: isinstance(n, Get))
+        ) | set(matviews)
         entry = CachedPlan(
             sql_key=sql_key,
             mode_name=mode_key,
-            catalog_version=self.catalog.version,
+            catalog_version=catalog_version,
             engine=engine,
             names=list(bound.names),
             types=bound.column_types,
@@ -1013,9 +1018,7 @@ class Database:
             table_names=table_names,
             degraded=degraded,
             fallback_reason=reason,
-            matview_name=matview_name,
-            rewritten_sql=rewritten_sql,
-            fingerprint=fingerprint)
+            matviews=matviews)
         if not degraded:
             try:
                 self.plan_cache.put(entry)
@@ -1023,52 +1026,19 @@ class Database:
                 pass  # uncached, but the compiled entry is still good
         return entry
 
-    def _bind_with_rewrite(self, sql: str, rewriting: bool):
-        """Bind ``sql``; when rewriting, try to substitute a matching
-        materialized view.
-
-        Returns ``(bound, fingerprint, matview_name, rewritten_sql)``.
-        The substitution is accepted only when the rewritten query binds
-        to the *identical* output schema and parameter list — any
-        discrepancy falls back to the original binding, so the rewrite
-        can degrade silently but never change results.
-        """
-        parsed = parse(sql)
-        bound = self._binder.bind(parsed)
-        fingerprint = canonicalize(parsed)
-        if (not rewriting or fingerprint is None
-                or not fingerprint.aggregates):
-            return bound, fingerprint, None, None
-        candidate = self._rewrite_candidate(fingerprint)
-        if candidate is None:
-            return bound, fingerprint, None, None
-        view_name, rewritten = candidate
-        try:
-            rebound = self._binder.bind(parse(rewritten))
-        except ReproError:
-            return bound, fingerprint, None, None
-        if (list(rebound.names) != list(bound.names)
-                or rebound.column_types != bound.column_types
-                or rebound.parameters != bound.parameters):
-            return bound, fingerprint, None, None
-        return rebound, fingerprint, view_name, rewritten
-
-    def _rewrite_candidate(self, fingerprint):
-        """The smallest registered view answering ``fingerprint``, as
-        ``(view name, rewritten SQL)``; ``None`` when nothing matches."""
-        best = None
-        for viewdef in self.catalog.matviews():
-            if not isinstance(viewdef, MatViewDef):
-                continue
-            rewritten = match_rewrite(fingerprint, viewdef)
-            if rewritten is None:
-                continue
-            size = self._row_count(viewdef.name)
-            if best is None or size < best[2]:
-                best = (viewdef.name, rewritten, size)
-        if best is None:
-            return None
-        return best[0], best[1]
+    def _scanned_matviews(self, plan: PhysicalOp | None) -> tuple[str, ...]:
+        """The materialized views whose backing tables ``plan`` reads —
+        the one fact the rewrite counter, the snapshot guard and
+        EXPLAIN all report."""
+        found: set[str] = set()
+        stack = [plan] if plan is not None else []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (PTableScan, PIndexSeek)) \
+                    and self.catalog.has_matview(node.table_name):
+                found.add(node.table_name)
+            stack.extend(node.children)
+        return tuple(sorted(found))
 
     def _degraded_plan(self, mode: ExecutionMode, normalized: RelationalOp,
                        engine: str = "tuple"
@@ -1138,18 +1108,18 @@ class Database:
             return self._explain_analyze(sql, mode, resolved,
                                          self._resolve_engine(engine),
                                          params)
-        bound, _, matview_name, rewritten_sql = self._bind_with_rewrite(
-            sql, self.matview_rewrite and self.catalog.has_matviews())
+        bound = self._binder.bind(parse(sql))
         normalized = normalize(bound.rel, mode.normalize_config)
         costed = None
         plan = None
         if not mode.use_naive_interpreter:
-            optimizer = self._optimizer(mode)
+            optimizer = self._optimizer(mode, use_matviews=True)
             if resolved.costs:
                 costed = optimizer.optimize_with_cost(normalized)
                 plan = costed.plan
             else:
                 plan = optimizer.optimize(normalized)
+        matviews = self._scanned_matviews(plan)
         if resolved.format == "dict":
             payload: dict[str, Any] = {
                 "sql": sql, "mode": mode.name, "analyze": False,
@@ -1158,15 +1128,10 @@ class Database:
                                   else normalized)}
             if costed is not None:
                 payload["cost"] = costed.cost
-            if matview_name is not None:
-                payload["matview"] = {"view": matview_name,
-                                      "sql": rewritten_sql}
+            if matviews:
+                payload["matview"] = {"view": ", ".join(matviews)}
             return payload
-        sections = []
-        if matview_name is not None:
-            sections += ["-- materialized view --",
-                         f"rewritten to scan {matview_name}:",
-                         str(rewritten_sql)]
+        sections = _matview_section(matviews)
         sections += ["-- logical (normalized) --", explain(normalized)]
         if plan is not None:
             sections += ["-- physical --", explain_physical(plan)]
@@ -1216,19 +1181,14 @@ class Database:
                        "engine": entry.engine, "analyze": True,
                        "plan": tree, "row_count": len(rows),
                        "stats": stats.as_dict()}
-            if entry.matview_name is not None:
-                payload["matview"] = {"view": entry.matview_name,
-                                      "sql": entry.rewritten_sql}
+            if entry.matviews:
+                payload["matview"] = {"view": ", ".join(entry.matviews)}
             return payload
         header = ("-- physical (analyze) --" if entry.plan is not None
                   else "-- logical (analyze) --")
-        sections = [header, render_tree(tree), "-- execution --",
-                    f"rows: {len(rows)}",
-                    f"elapsed: {elapsed:.6f}s"]
-        if entry.matview_name is not None:
-            sections = ["-- materialized view --",
-                        f"rewritten to scan {entry.matview_name}:",
-                        str(entry.rewritten_sql)] + sections
+        sections = _matview_section(entry.matviews) + [
+            header, render_tree(tree), "-- execution --",
+            f"rows: {len(rows)}", f"elapsed: {elapsed:.6f}s"]
         if stats.max_q_error is not None:
             sections.append(f"max q-error: {stats.max_q_error:.2f}")
         return "\n".join(sections)
@@ -1264,11 +1224,19 @@ class Database:
         return self._optimizer(mode).optimize(normalized)
 
     def _optimizer(self, mode: ExecutionMode,
-                   gov: ResourceGovernor | None = None) -> Optimizer:
+                   gov: ResourceGovernor | None = None,
+                   use_matviews: bool = False) -> Optimizer:
+        """An optimizer for ``mode``; with ``use_matviews`` and at least
+        one materialized view defined it also explores substituting
+        views for the aggregates they answer."""
+        views = ([v for v in self.catalog.matviews()
+                  if isinstance(v, MatViewDef)] if use_matviews else [])
         return Optimizer(self._stats_provider, self._index_provider,
                          mode.optimizer_config, governor=gov,
                          corrections=self.corrections,
-                         zone_provider=self._zone_skip_rows)
+                         zone_provider=self._zone_skip_rows,
+                         extra_rules=([ViewSubstitution(views)]
+                                      if views else []))
 
     # -- optimizer services ------------------------------------------------------
 

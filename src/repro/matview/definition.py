@@ -8,227 +8,168 @@ Carrying counts alongside sums is what makes the stored form
 and its ``COUNT`` as ``sum(cnt_c)``, so a query grouping *coarser* than
 the view can still be answered by re-aggregating view rows (the
 global-aggregate step of the paper's segmented execution).
+
+The definition is kept as its bound, normalized logical tree: the
+:class:`~repro.matview.shape.AggregateShape` the optimizer matches
+queries against, and the local-aggregate tree (:attr:`MatViewDef.local`)
+whose output *is* the backing table's layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..algebra.datatypes import DataType
+from ..algebra import (AggregateCall, AggregateFunction, Column, ColumnRef,
+                       DataType, GroupBy, Project, RelationalOp,
+                       ScalarGroupBy, Select, Sort, Top, conjunction)
 from ..catalog import ColumnDef, TableDef
-from ..errors import ReproError, SqlSyntaxError
+from ..core.normalize import normalize
+from ..errors import BindError, ReproError, SqlSyntaxError
 from ..sql import ast, parse
-from .canonical import (CanonicalAggregate, canonicalize, emit_expr,
-                        expr_columns, quote)
+from .shape import AggregateShape, aggregate_shapes
 
-#: Data types ``sum``/``avg`` accept; ``min``/``max``/``count`` take any.
-_SUMMABLE = frozenset({"integer", "float", "decimal"})
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..binder import Binder
+
+F = AggregateFunction
+
+#: The partials stored per aggregated base column, in backing-column
+#: order: ``(prefix, partial aggregate, query aggregates it serves)``.
+_PARTIALS = (
+    ("sum", F.SUM, frozenset({F.SUM, F.AVG})),
+    ("cnt", F.COUNT, frozenset({F.SUM, F.AVG, F.COUNT})),
+    ("min", F.MIN, frozenset({F.MIN})),
+    ("max", F.MAX, frozenset({F.MAX})),
+)
 
 
 class MatViewError(ReproError):
     """Invalid materialized-view definition or operation."""
 
 
-@dataclass(frozen=True)
-class TrackedColumn:
-    """Partial aggregates the backing table carries for one base column."""
+@dataclass(frozen=True, eq=False)
+class MatViewDef:
+    """A registered materialized view."""
 
-    column: str
-    needs_sum: bool   # sum_<c>: query used sum/avg
-    needs_cnt: bool   # cnt_<c>: query used sum/avg/count
-    needs_min: bool
-    needs_max: bool
+    name: str                # lowered view name
+    sql: str                 # defining SELECT text (verbatim)
+    shape: AggregateShape    # the definition's bound, normalized shape
+    local: GroupBy           # base rows -> backing rows (§3.3 local form)
+    backing: TableDef        # the backing table: ``local``'s output
 
     @property
-    def backing_columns(self) -> list[str]:
-        names = []
-        if self.needs_sum:
-            names.append(f"sum_{self.column}")
-        if self.needs_cnt:
-            names.append(f"cnt_{self.column}")
-        if self.needs_min:
-            names.append(f"min_{self.column}")
-        if self.needs_max:
-            names.append(f"max_{self.column}")
-        return names
-
-
-@dataclass(frozen=True)
-class MatViewDef:
-    """A registered materialized view.
-
-    ``conjuncts`` are canonical parameter-free predicate ASTs evaluated
-    both by SQL re-emission (build/refresh) and directly over inserted
-    rows (incremental maintenance) — one definition, two evaluators,
-    checked equivalent by the differential tests.
-    """
-
-    name: str                        # lowered view name
-    sql: str                         # defining SELECT text (verbatim)
-    table: str                       # base table, lowered
-    group_cols: tuple[str, ...]
-    conjuncts: tuple[ast.Expr, ...]
-    tracked: tuple[TrackedColumn, ...]
+    def table(self) -> str:
+        """The base table, lowered."""
+        return self.shape.table
 
     @classmethod
     def from_sql(cls, name: str, sql: str,
-                 base_lookup=None) -> "MatViewDef":
-        """Validate and canonicalize a defining query.
+                 binder: "Binder") -> "MatViewDef":
+        """Bind, normalize and validate a defining query.
 
-        ``base_lookup`` maps a lowered table name to its
-        :class:`TableDef` (or ``None`` when unknown) so column
-        references can be checked eagerly.
+        An unknown base table raises
+        :class:`~repro.errors.CatalogError`; every other invalid
+        definition raises :class:`MatViewError`.
         """
         try:
-            parsed = parse(sql)
-        except SqlSyntaxError as exc:
+            bound = binder.bind(parse(sql))
+        except (SqlSyntaxError, BindError) as exc:
             raise MatViewError(
                 f"materialized view {name!r}: {exc}") from exc
-        fingerprint = canonicalize(parsed)
-        if fingerprint is None:
-            raise MatViewError(
-                f"materialized view {name!r}: defining query must be a "
-                "single-table GROUP BY over plain columns with "
-                "count/sum/avg/min/max aggregates (no joins, DISTINCT, "
-                "HAVING, or expression grouping)")
-        if not fingerprint.group_cols:
-            raise MatViewError(
-                f"materialized view {name!r}: defining query needs a "
-                "GROUP BY clause")
-        if not fingerprint.aggregates:
-            raise MatViewError(
-                f"materialized view {name!r}: defining query needs at "
-                "least one aggregate output")
-        if fingerprint.order_by or fingerprint.limit is not None:
-            raise MatViewError(
-                f"materialized view {name!r}: ORDER BY / LIMIT have no "
-                "meaning in a stored view definition")
-        if fingerprint.has_parameters():
+        if bound.parameters:
             raise MatViewError(
                 f"materialized view {name!r}: defining query cannot "
                 "take parameters")
-        viewdef = cls(
-            name=name.lower(),
-            sql=sql.strip(),
-            table=fingerprint.table,
-            group_cols=fingerprint.group_cols,
-            conjuncts=fingerprint.conjuncts,
-            tracked=_tracked_columns(fingerprint))
-        if base_lookup is not None:
-            base = base_lookup(viewdef.table)
-            if base is not None:
-                viewdef.validate_against(base)
-        return viewdef
+        return cls.from_tree(name, sql, bound.rel)
 
-    def validate_against(self, base: TableDef) -> None:
-        """Check column references and dtypes against the base schema."""
-        referenced = set(self.group_cols)
-        for conjunct in self.conjuncts:
-            referenced |= expr_columns(conjunct)
-        for spec in self.tracked:
-            referenced.add(spec.column)
-        for column in sorted(referenced):
-            if not base.has_column(column):
-                raise MatViewError(
-                    f"materialized view {self.name!r}: no column "
-                    f"{column!r} in table {self.table!r}")
-        for spec in self.tracked:
-            dtype = base.column(spec.column).dtype
-            if spec.needs_sum and dtype.value not in _SUMMABLE:
-                raise MatViewError(
-                    f"materialized view {self.name!r}: cannot sum "
-                    f"{dtype.value} column {spec.column!r}")
+    @classmethod
+    def from_tree(cls, name: str, sql: str,
+                  rel: RelationalOp) -> "MatViewDef":
+        """A view over a bound defining tree.  The tree is normalized
+        here, so its conjuncts take the form queries reach the
+        optimizer in."""
+        def invalid(reason: str) -> MatViewError:
+            return MatViewError(f"materialized view {name!r}: {reason}")
 
-    def backing_def(self, base: TableDef) -> TableDef:
-        """The backing table schema: group columns + partial aggregates."""
-        self.validate_against(base)
-        columns = [ColumnDef(col, base.column(col).dtype,
-                             base.column(col).nullable)
-                   for col in self.group_cols]
-        columns.append(ColumnDef("cnt_star", DataType.INTEGER,
-                                 nullable=False))
-        for spec in self.tracked:
-            dtype = base.column(spec.column).dtype
-            if spec.needs_sum:
-                columns.append(ColumnDef(f"sum_{spec.column}", dtype))
-            if spec.needs_cnt:
-                columns.append(ColumnDef(f"cnt_{spec.column}",
-                                         DataType.INTEGER, nullable=False))
-            if spec.needs_min:
-                columns.append(ColumnDef(f"min_{spec.column}", dtype))
-            if spec.needs_max:
-                columns.append(ColumnDef(f"max_{spec.column}", dtype))
-        names = [c.name for c in columns]
-        if len(set(names)) != len(names):
-            raise MatViewError(
-                f"materialized view {self.name!r}: generated backing "
-                f"columns collide: {sorted(names)}")
+        node = normalize(rel)
+        while isinstance(node, (Project, Sort, Top)):
+            if not isinstance(node, Project):
+                raise invalid("ORDER BY / LIMIT have no meaning in a "
+                              "stored view definition")
+            if not all(isinstance(e, ColumnRef) for _, e in node.items):
+                break
+            node = node.child
+        if isinstance(node, ScalarGroupBy):
+            raise invalid("defining query needs a GROUP BY clause")
+        if isinstance(node, GroupBy) and not node.aggregates:
+            raise invalid("defining query needs at least one aggregate "
+                          "output")
+        shape = next(aggregate_shapes(node), None)
+        if shape is None:
+            raise invalid(
+                "defining query must be a single-table GROUP BY over "
+                "plain columns with count/sum/avg/min/max aggregates (no "
+                "joins, DISTINCT, HAVING, or expression grouping)")
+        local = _local_aggregate(shape)
+        columns = [ColumnDef(c.name, c.dtype, c.nullable)
+                   for c in local.output_columns()]
         try:
-            return TableDef(self.name, columns,
-                            primary_key=self.group_cols)
+            backing = TableDef(
+                name.lower(), columns,
+                primary_key=[c.name for c in local.group_columns])
         except ReproError as exc:
-            raise MatViewError(
-                f"materialized view {self.name!r}: {exc}") from exc
+            raise invalid(f"generated backing columns collide: "
+                          f"{sorted(c.name for c in columns)}") from exc
+        return cls(name.lower(), sql.strip(), shape, local, backing)
 
-    def storage_sql(self) -> str:
-        """SQL computing the full backing contents from the base table.
-
-        Executed with view rewriting disabled (a view must never be
-        built from itself) for the initial build, REFRESH, and the
-        recovery rebuild.
-        """
-        items = [f"{quote(col)} AS {quote(col)}" for col in self.group_cols]
-        items.append(f'count(*) AS {quote("cnt_star")}')
-        for spec in self.tracked:
-            col = quote(spec.column)
-            if spec.needs_sum:
-                items.append(f'sum({col}) AS {quote(f"sum_{spec.column}")}')
-            if spec.needs_cnt:
-                items.append(
-                    f'count({col}) AS {quote(f"cnt_{spec.column}")}')
-            if spec.needs_min:
-                items.append(f'min({col}) AS {quote(f"min_{spec.column}")}')
-            if spec.needs_max:
-                items.append(f'max({col}) AS {quote(f"max_{spec.column}")}')
-        sql = f'SELECT {", ".join(items)} FROM {quote(self.table)}'
-        if self.conjuncts:
-            sql += " WHERE " + " AND ".join(
-                emit_expr(c) for c in self.conjuncts)
-        sql += " GROUP BY " + ", ".join(quote(c) for c in self.group_cols)
-        return sql
-
-    def supports(self, func: str, column: str | None) -> bool:
-        """Can the backing table answer aggregate ``func(column)``?"""
-        if func == "count_star":
-            return True
-        spec = next((t for t in self.tracked if t.column == column), None)
-        if spec is None:
-            return False
-        if func in ("sum", "avg"):
-            return spec.needs_sum and spec.needs_cnt
-        if func == "count":
-            return spec.needs_cnt
-        if func == "min":
-            return spec.needs_min
-        if func == "max":
-            return spec.needs_max
-        return False
+    def supports(self, call: AggregateCall) -> bool:
+        """Can the backing table answer aggregate ``call``?"""
+        if not isinstance(call.argument, ColumnRef):
+            return call.argument is None  # count(*)
+        column = call.argument.column.name
+        return all(self.backing.has_column(f"{prefix}_{column}")
+                   for prefix, _, serves in _PARTIALS
+                   if call.func in serves)
 
 
-def _tracked_columns(
-        fingerprint: CanonicalAggregate) -> tuple[TrackedColumn, ...]:
-    funcs: dict[str, set[str]] = {}
-    for spec in fingerprint.aggregates:
-        if spec.column is not None:
-            funcs.setdefault(spec.column, set()).add(spec.func)
-    tracked = []
-    for column in sorted(funcs):
-        used = funcs[column]
-        needs_sum = bool(used & {"sum", "avg"})
-        tracked.append(TrackedColumn(
-            column=column,
-            needs_sum=needs_sum,
-            needs_cnt=needs_sum or "count" in used,
-            needs_min="min" in used,
-            needs_max="max" in used))
-    return tuple(tracked)
+def base_table(name: str, sql: str) -> str:
+    """The one table a defining query's FROM names, read off the parse
+    tree (so CREATE can lock the base before binding)."""
+    try:
+        statement = parse(sql)
+    except SqlSyntaxError as exc:
+        raise MatViewError(f"materialized view {name!r}: {exc}") from exc
+    sources = getattr(statement, "from_items", ())
+    if len(sources) != 1 or not isinstance(sources[0], ast.TableRef):
+        raise MatViewError(f"materialized view {name!r}: defining query "
+                           "must read exactly one base table")
+    return sources[0].name.lower()
+
+
+def _local_aggregate(shape: AggregateShape) -> GroupBy:
+    """``count(*)`` plus the partials every aggregated column needs,
+    grouped like the view; the output is the backing-table layout."""
+    get = shape.get
+    by_name = {c.name: c for c in get.columns}
+    used: dict[str, set[AggregateFunction]] = {}
+    for _, call in shape.aggregate.aggregates:
+        if isinstance(call.argument, ColumnRef):
+            used.setdefault(call.argument.column.name, set()).add(call.func)
+    partials = [(Column("cnt_star", DataType.INTEGER, nullable=False),
+                 AggregateCall(F.COUNT_STAR))]
+    for name in sorted(used):
+        column = by_name[name]
+        for prefix, func, serves in _PARTIALS:
+            if not used[name] & serves:
+                continue
+            counted = func is F.COUNT
+            partials.append((
+                Column(f"{prefix}_{name}",
+                       DataType.INTEGER if counted else column.dtype,
+                       nullable=not counted),
+                AggregateCall(func, ColumnRef(column))))
+    child: RelationalOp = get
+    if shape.conjuncts:
+        child = Select(get, conjunction(shape.conjuncts))
+    return GroupBy(child, shape.aggregate.group_columns, partials)

@@ -4,13 +4,15 @@ When a transaction commits inserts into a view's base table, the view is
 not recomputed; the inserted rows are folded in.  This is the paper's
 §3.3 split applied to maintenance:
 
-* ``local_aggregate`` computes the *local* form of just the delta — one
-  partial row per affected group (``count(*)``, per-column
-  ``sum``/``count``/``min``/``max`` with NULLs skipped);
-* ``merge`` combines those partials into the current backing rows — the
-  *global* step — which is correct precisely because every aggregate the
-  view stores is decomposable (``sum``/``count`` add, ``min``/``max``
-  take extrema, and ``avg`` is never stored, only re-derived).
+* the view's compiled local-aggregate plan (:attr:`MatViewDef.local`,
+  the same plan that builds the view) runs over *just the delta rows* —
+  one partial row per affected group;
+* :func:`merge` combines those partials into the current backing rows —
+  the *global* step — which is correct precisely because every
+  aggregate the view stores is decomposable (``sum``/``count`` add,
+  ``min``/``max`` take extrema, and ``avg`` is never stored, only
+  re-derived).  Each column merges with its partial aggregate's own
+  :meth:`~repro.algebra.aggregates.AggregateDescriptor.merge`.
 
 Both steps run inside ``Storage.install_many`` under the view's writer
 lock, so the new view version installs in the *same* snapshot swap as
@@ -24,198 +26,31 @@ Integer and decimal sums are exact.
 
 from __future__ import annotations
 
-import datetime
-from typing import Any, Optional, Sequence
+from typing import Sequence
 
-from ..algebra.datatypes import (Interval, sql_add, sql_and, sql_compare,
-                                 sql_div, sql_mul, sql_not, sql_or, sql_sub)
-from ..catalog import TableDef
-from ..sql import ast
-from .definition import MatViewDef, MatViewError
-
-RowMap = dict[str, Any]
+from .definition import MatViewDef
 
 
-def eval_conjunct(expr: ast.Expr, row: RowMap) -> Optional[bool]:
-    """Three-valued truth of a canonical predicate over one base row."""
-    value = eval_scalar(expr, row)
-    if value is None or isinstance(value, bool):
-        return value
-    raise MatViewError(f"predicate evaluated to non-boolean {value!r}")
+def merge(viewdef: MatViewDef, current_rows: Sequence[tuple],
+          delta_rows: Sequence[tuple]) -> list[tuple]:
+    """Fold per-group partial rows into the current backing rows.
 
-
-def eval_scalar(expr: ast.Expr, row: RowMap) -> Any:
-    """Evaluate a canonical scalar expression over one base row.
-
-    Mirrors the executor's NULL-propagating semantics via the shared
-    :mod:`repro.algebra.datatypes` helpers; the differential tests hold
-    the two evaluators to identical results.
+    Existing groups keep their row position; new groups append in delta
+    order.  The result is the complete new backing contents (inserts
+    only — the engine has no DELETE/UPDATE, so counts never reach zero
+    and groups never disappear).
     """
-    if isinstance(expr, ast.Identifier):
-        return row[expr.parts[-1].lower()]
-    if isinstance(expr, ast.NumberLiteral):
-        return expr.value
-    if isinstance(expr, ast.StringLiteral):
-        return expr.value
-    if isinstance(expr, ast.BooleanLiteral):
-        return expr.value
-    if isinstance(expr, ast.NullLiteral):
-        return None
-    if isinstance(expr, ast.DateLiteral):
-        return datetime.date.fromisoformat(expr.text)
-    if isinstance(expr, ast.IntervalLiteral):
-        if expr.unit == "day":
-            return Interval(days=expr.quantity)
-        months = expr.quantity * (12 if expr.unit == "year" else 1)
-        return Interval(months=months)
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op == "and":
-            return sql_and(eval_conjunct(expr.left, row),
-                           eval_conjunct(expr.right, row))
-        if expr.op == "or":
-            return sql_or(eval_conjunct(expr.left, row),
-                          eval_conjunct(expr.right, row))
-        left = eval_scalar(expr.left, row)
-        right = eval_scalar(expr.right, row)
-        if expr.op == "+":
-            return sql_add(left, right)
-        if expr.op == "-":
-            return sql_sub(left, right)
-        if expr.op == "*":
-            return sql_mul(left, right)
-        if expr.op == "/":
-            return sql_div(left, right)
-        return sql_compare(expr.op, left, right)
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op == "not":
-            return sql_not(eval_conjunct(expr.operand, row))
-        value = eval_scalar(expr.operand, row)
-        return None if value is None else -value
-    if isinstance(expr, ast.BetweenExpr):
-        operand = eval_scalar(expr.operand, row)
-        low = sql_compare(">=", operand, eval_scalar(expr.low, row))
-        high = sql_compare("<=", operand, eval_scalar(expr.high, row))
-        result = sql_and(low, high)
-        return sql_not(result) if expr.negated else result
-    if isinstance(expr, ast.IsNullExpr):
-        result = eval_scalar(expr.operand, row) is None
-        return not result if expr.negated else result
-    if isinstance(expr, ast.InExpr) and expr.values is not None:
-        operand = eval_scalar(expr.operand, row)
-        result: Optional[bool] = False
-        for value in expr.values:
-            result = sql_or(
-                result,
-                sql_compare("=", operand, eval_scalar(value, row)))
-        return sql_not(result) if expr.negated else result
-    raise MatViewError(
-        f"cannot evaluate {type(expr).__name__} during maintenance")
-
-
-def local_aggregate(viewdef: MatViewDef, base: TableDef,
-                    rows: Sequence[tuple]) -> dict[tuple, RowMap]:
-    """Per-group partial aggregates of the delta rows.
-
-    Returns ``group key -> partials`` in first-seen group order (dicts
-    preserve insertion order); rows failing the view's WHERE conjuncts
-    (3VL: anything but True) are dropped, matching the filter the
-    defining query applies.
-    """
-    names = base.column_names
-    deltas: dict[tuple, RowMap] = {}
-    for values in rows:
-        row = dict(zip(names, values))
-        if any(eval_conjunct(c, row) is not True
-               for c in viewdef.conjuncts):
-            continue
-        key = tuple(row[col] for col in viewdef.group_cols)
-        partial = deltas.get(key)
-        if partial is None:
-            partial = {"cnt_star": 0}
-            for spec in viewdef.tracked:
-                if spec.needs_sum:
-                    partial[f"sum_{spec.column}"] = None
-                if spec.needs_cnt:
-                    partial[f"cnt_{spec.column}"] = 0
-                if spec.needs_min:
-                    partial[f"min_{spec.column}"] = None
-                if spec.needs_max:
-                    partial[f"max_{spec.column}"] = None
-            deltas[key] = partial
-        partial["cnt_star"] += 1
-        for spec in viewdef.tracked:
-            value = row[spec.column]
-            if value is None:
-                continue
-            if spec.needs_sum:
-                partial[f"sum_{spec.column}"] = _add(
-                    partial[f"sum_{spec.column}"], value)
-            if spec.needs_cnt:
-                partial[f"cnt_{spec.column}"] += 1
-            if spec.needs_min:
-                partial[f"min_{spec.column}"] = _extremum(
-                    partial[f"min_{spec.column}"], value, min)
-            if spec.needs_max:
-                partial[f"max_{spec.column}"] = _extremum(
-                    partial[f"max_{spec.column}"], value, max)
-    return deltas
-
-
-def merge(viewdef: MatViewDef, backing: TableDef,
-          current_rows: Sequence[tuple],
-          deltas: dict[tuple, RowMap]) -> list[tuple]:
-    """Fold per-group deltas into the current backing rows.
-
-    Existing groups keep their row position; new groups append in
-    first-seen delta order.  The result is the complete new backing
-    contents (inserts only — the engine has no DELETE/UPDATE, so counts
-    never reach zero and groups never disappear).
-    """
-    names = backing.column_names
-    key_width = len(viewdef.group_cols)
-    pending = dict(deltas)
+    width = len(viewdef.local.group_columns)
+    descriptors = [call.descriptor for _, call in viewdef.local.aggregates]
+    pending = {row[:width]: row for row in delta_rows}
     merged: list[tuple] = []
-    for values in current_rows:
-        key = values[:key_width]
-        partial = pending.pop(key, None)
-        if partial is None:
-            merged.append(values)
+    for row in current_rows:
+        delta = pending.pop(row[:width], None)
+        if delta is None:
+            merged.append(row)
             continue
-        row = dict(zip(names, values))
-        row["cnt_star"] += partial["cnt_star"]
-        for spec in viewdef.tracked:
-            if spec.needs_sum:
-                name = f"sum_{spec.column}"
-                row[name] = _add(row[name], partial[name])
-            if spec.needs_cnt:
-                name = f"cnt_{spec.column}"
-                row[name] += partial[name]
-            if spec.needs_min:
-                name = f"min_{spec.column}"
-                row[name] = _extremum(row[name], partial[name], min)
-            if spec.needs_max:
-                name = f"max_{spec.column}"
-                row[name] = _extremum(row[name], partial[name], max)
-        merged.append(tuple(row[name] for name in names))
-    for key, partial in pending.items():
-        row = dict(zip(viewdef.group_cols, key))
-        row.update(partial)
-        merged.append(tuple(row[name] for name in names))
+        merged.append(row[:width] + tuple(
+            descriptor.merge(stored, partial) for descriptor, stored, partial
+            in zip(descriptors, row[width:], delta[width:])))
+    merged.extend(pending.values())
     return merged
-
-
-def _add(current: Any, value: Any) -> Any:
-    """NULL-skipping sum step: SUM ignores NULL inputs entirely."""
-    if value is None:
-        return current
-    if current is None:
-        return value
-    return current + value
-
-
-def _extremum(current: Any, value: Any, pick) -> Any:
-    if value is None:
-        return current
-    if current is None:
-        return value
-    return pick(current, value)

@@ -3,10 +3,11 @@
 Lock discipline (levels from :mod:`repro.concurrency`):
 
 * **create** — ``db.ddl`` (10) → the *base* table's ``storage.writer``
-  (20) held across [compute contents → WAL DDL record → register]:
-  holding the base writer lock closes the missed-delta window where a
-  commit lands after the contents were computed but before the view
-  starts receiving maintenance.
+  (20), taken as soon as the parse tree names the base and held across
+  [bind, normalize and compile → compute contents → WAL DDL record →
+  register]: holding the base writer lock closes the missed-delta
+  window where a commit lands after the contents were computed but
+  before the view starts receiving maintenance.
 * **drop** — ``db.ddl`` (10) → the *view* backing's ``storage.writer``
   (20): a drop waits out any in-flight refresh or commit maintenance
   on the same view, so those never find the backing half-removed.
@@ -33,14 +34,15 @@ rebuild).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from .. import faultinject
 from ..concurrency import TrackedLock
 from ..errors import CatalogError, ReproError, TransactionConflict
 from ..storage import StoredTable
-from .definition import MatViewDef
-from .maintenance import local_aggregate, merge
+from ..storage.table import StorageSnapshot
+from .definition import MatViewDef, MatViewError, base_table
+from .maintenance import merge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..database import Database
@@ -84,6 +86,11 @@ class MatViewManager:
     def __init__(self, database: "Database") -> None:
         self._db = database
         self._stats_lock = TrackedLock("matview.stats")
+        #: view name -> (definition, prepared local-aggregate plan);
+        #: compiled on first use, recompiled when the name is reused.  A
+        #: refresh racing a commit may compile twice; either plan is
+        #: valid, and dict stores are atomic.
+        self._compiled: dict[str, tuple[MatViewDef, Any]] = {}
         self.rewrites = 0
         self.maintained_commits = 0
         self.refreshes = 0
@@ -94,7 +101,6 @@ class MatViewManager:
     def create(self, name: str, sql: str) -> MatViewDef:
         """Create and populate a materialized view over ``sql``."""
         database = self._db
-        viewdef = MatViewDef.from_sql(name, sql)
         with database._ddl_lock:
             catalog = database.catalog
             if (catalog.has_table(name) or catalog.has_view(name)
@@ -102,16 +108,21 @@ class MatViewManager:
                 raise CatalogError(
                     f"{name!r} already names a table, view or "
                     "materialized view")
-            base = catalog.get_table(viewdef.table)
-            backing = viewdef.backing_def(base)
-            lock = database.storage.writer_lock(viewdef.table)
+            table = base_table(name, sql)
+            catalog.get_table(table)  # CatalogError when unknown
+            if catalog.has_matview(table):
+                raise MatViewError(
+                    f"materialized view {name!r}: cannot be defined over "
+                    f"materialized view {table!r}")
+            lock = database.storage.writer_lock(table)
             if not lock.acquire(timeout=MATVIEW_LOCK_TIMEOUT):
                 raise TransactionConflict(
                     f"could not acquire the writer lock on table "
-                    f"{viewdef.table!r} within "
-                    f"{MATVIEW_LOCK_TIMEOUT:.0f}s (create materialized "
-                    f"view)")
+                    f"{table!r} within {MATVIEW_LOCK_TIMEOUT:.0f}s "
+                    f"(create materialized view)")
             try:
+                viewdef = MatViewDef.from_sql(name, sql, database._binder)
+                backing = viewdef.backing
                 rows = self._compute_rows(viewdef)
                 if database._durability is not None:
                     database._durability.log_ddl(
@@ -148,6 +159,7 @@ class MatViewManager:
                         {"kind": "drop_matview", "name": name.lower()})
                 database.catalog.drop_matview(name)
                 database.storage.drop(name)
+                self._compiled.pop(name.lower(), None)
             finally:
                 lock.release()
         database.plan_cache.invalidate()
@@ -207,13 +219,14 @@ class MatViewManager:
         try:
             for base_name in sorted(changes):
                 rows = changes[base_name]
-                if not rows:
+                views = catalog.matviews_on(base_name)
+                if not rows or not views:
                     continue
-                base_def = catalog.get_table(base_name)
-                for viewdef in catalog.matviews_on(base_name):
+                delta = self._delta_source(base_name, rows)
+                for viewdef in views:
                     assert isinstance(viewdef, MatViewDef)
-                    deltas = local_aggregate(viewdef, base_def, rows)
-                    if not deltas:
+                    partials = self._local_rows(viewdef, delta)
+                    if not partials:
                         continue  # every delta row fails the view filter
                     lock = self._acquire_view_lock(viewdef.name,
                                                    "commit maintenance")
@@ -223,7 +236,7 @@ class MatViewManager:
                     self._refresh_gate()
                     backing = catalog.get_table(viewdef.name)
                     current = storage.get(viewdef.name)
-                    merged = merge(viewdef, backing, current.rows, deltas)
+                    merged = merge(viewdef, current.rows, partials)
                     version = StoredTable(backing, storage.chunk_rows)
                     version.insert_rows(merged)
                     maintenance.versions[viewdef.name] = version
@@ -295,9 +308,38 @@ class MatViewManager:
         faultinject.hit("matview.refresh")
 
     def _compute_rows(self, viewdef: MatViewDef) -> list[tuple]:
-        """Full backing contents from the base, views-off (a view must
-        never be answered from itself while being built)."""
+        """Full backing contents, from the live base table."""
         self._refresh_gate()
-        result = self._db.execute(viewdef.storage_sql(),
-                                  use_matviews=False)
-        return result.rows
+        return self._local_rows(viewdef)
+
+    def _local_rows(self, viewdef: MatViewDef,
+                    source: Optional[StorageSnapshot] = None
+                    ) -> list[tuple]:
+        """Run the view's compiled local-aggregate plan over the base
+        table, or over just a commit's delta through ``source``.
+
+        The plan is optimized without views — a view is never built
+        from itself — and prepared once per definition.
+        """
+        compiled = self._compiled.get(viewdef.name)
+        if compiled is None or compiled[0] is not viewdef:
+            from ..database import FULL  # deferred: avoid cycle
+            database = self._db
+            plan = database._optimizer(FULL).optimize(viewdef.local)
+            compiled = (viewdef, database._executor.prepare(plan))
+            self._compiled[viewdef.name] = compiled
+        return self._db._executor.run_prepared(compiled[1],
+                                               storage=source)
+
+    def _delta_source(self, base_name: str,
+                      rows: Sequence[tuple]) -> StorageSnapshot:
+        """The committed rows as a stand-in base table, with the base's
+        secondary indexes so any index seek in a view plan resolves."""
+        catalog = self._db.catalog
+        storage = self._db.storage
+        table = StoredTable(catalog.get_table(base_name), storage.chunk_rows)
+        for index in catalog.indexes_on(base_name):
+            table.add_index(index)
+        table.insert_rows(rows)
+        return StorageSnapshot({base_name.lower(): table},
+                               storage.data_version)

@@ -90,15 +90,10 @@ class CachedPlan:
     #: shard's lock.  The materialized-view advisor mines this as its
     #: query-frequency signal (repro.matview.advisor).
     hits: int = 0
-    #: When the plan was transparently rewritten to scan a materialized
-    #: view: the view's name and the rewritten SQL it was compiled from
-    #: (both ``None`` for unrewritten plans).  Surfaced by EXPLAIN.
-    matview_name: str | None = None
-    rewritten_sql: str | None = None
-    #: The query's canonical aggregate fingerprint
-    #: (:class:`repro.matview.canonical.CanonicalAggregate`) when it has
-    #: one — the advisor's matching signal; ``None`` otherwise.
-    fingerprint: Any = None
+    #: The materialized views whose backing tables the chosen plan
+    #: scans (sorted names; empty for base-table plans).  Counted as
+    #: rewrites when run, checked by the snapshot guard, shown by EXPLAIN.
+    matviews: tuple[str, ...] = ()
 
     @property
     def key(self) -> tuple:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.algebra import (AggregateCall, AggregateFunction, Column,
                            ColumnRef, Comparison, DataType, Get, GroupBy,
                            Join, JoinKind, Literal, LocalGroupBy, Project,
-                           Select, equals)
+                           Select, conjunction, equals)
 from repro.core.optimizer.pushdown import (factor_conjuncts,
                                            push_selections)
 from repro.core.optimizer.rules import (GroupByPullAboveJoin,
@@ -222,6 +222,59 @@ class TestLocalAggregateRules:
 
             pushed_tree = transform_bottom_up(split_tree, push)
             assert run(pushed_tree, data) == baseline
+
+
+class TestViewSubstitutionRule:
+    """A view's stored partials answer every aggregate it subsumes.
+
+    The view's backing rows are computed by its own local-aggregate
+    tree on the naive interpreter, then the rule's alternative must
+    reproduce the base-table aggregate over them exactly.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(r=r_rows, grouped=st.booleans(), view_filter=st.booleans(),
+           keeps_filter=st.booleans(),
+           residual=st.one_of(st.none(), st.integers(0, 3)),
+           funcs=st.lists(st.sampled_from(
+               AGG_FUNCS + [AggregateFunction.COUNT_STAR]),
+               min_size=1, max_size=3))
+    def test_view_substitution(self, r, grouped, view_filter, keeps_filter,
+                               residual, funcs):
+        from repro.algebra import ScalarGroupBy
+        from repro.matview import MatViewDef, ViewSubstitution
+
+        def above_one(column):
+            return Comparison(">", ColumnRef(column), Literal(1))
+
+        # The view: per-a partials of b, optionally only where b > 1.
+        v_get, va, vb = make_r(r)
+        v_child = Select(v_get, above_one(vb)) if view_filter else v_get
+        view = MatViewDef.from_tree("mv", "", GroupBy(v_child, [va], [
+            (Column(f.name, DataType.FLOAT), AggregateCall(f, ColumnRef(vb)))
+            for f in AGG_FUNCS]))
+        data = {"r": r, "mv": list(run(view.local, {"r": r}).elements())}
+
+        # The query: its own scan of r, the view's filter (or not) plus
+        # an optional residual filter on the group column a.
+        get, a, b = make_r(r)
+        parts = []
+        if keeps_filter:
+            parts.append(above_one(b))
+        if residual is not None:
+            parts.append(equals(a, Literal(residual)))
+        child = Select(get, conjunction(parts)) if parts else get
+        aggregates = [(Column(f"agg{i}", DataType.FLOAT), AggregateCall(
+            f, None if f is AggregateFunction.COUNT_STAR else ColumnRef(b)))
+            for i, f in enumerate(funcs)]
+        tree = (GroupBy(child, [a], aggregates) if grouped
+                else ScalarGroupBy(child, aggregates))
+        # A kept b-filter the view lacks is a residual over a non-group
+        # column; a view filter the query lacks drops rows it needs.
+        fires = keeps_filter == view_filter
+        fired = check_rule(ViewSubstitution([view]), tree, data,
+                           expect_fire=fires)
+        assert fired == fires
 
 
 class TestJoinOrderRules:
