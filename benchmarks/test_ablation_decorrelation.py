@@ -85,6 +85,6 @@ def test_ablation_decorrelation(benchmark):
     assert indexed_speedups[-1] > 3.0
 
     plan = indexed.plan(GALLERY["correlated avg (Q17)"], FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(indexed.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(indexed.storage)
     benchmark(lambda: executor.run(plan))

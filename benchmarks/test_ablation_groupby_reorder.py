@@ -42,6 +42,6 @@ def test_ablation_groupby_reorder(benchmark):
         ["query", "reorder on (ms)", "reorder off (ms)", "speedup"], rows))
 
     plan = db.plan(PROBES["section 1.1 example"], FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

@@ -38,6 +38,6 @@ def test_ablation_index_apply(benchmark):
     print(format_table(["configuration", "exec (ms)", "rows"], rows))
 
     plan = db.plan(PROBE, FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

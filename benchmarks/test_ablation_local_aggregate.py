@@ -51,6 +51,6 @@ def test_ablation_local_aggregates(benchmark):
         ["configuration", "exec (ms)", "local aggs in plan", "rows"], rows))
 
     plan = db.plan(PROBE, FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

@@ -48,8 +48,7 @@ def test_ablation_segment_apply(benchmark):
 
     assert db.execute(sql, FULL).rows == db.execute(sql, NO_SEGMENT_APPLY).rows
 
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     prepared = executor.prepare(with_plan)
-    from repro.executor.physical import ExecutionContext
-    benchmark(lambda: list(prepared.rows(ExecutionContext())))
+    benchmark(lambda: executor.run_prepared(prepared))

@@ -103,6 +103,6 @@ def test_fig1_strategy_lattice(db, benchmark):
         timings["join then aggregate (simplified)"]
 
     plan = db.plan(QUERY, FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

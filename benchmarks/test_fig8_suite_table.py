@@ -75,6 +75,6 @@ def test_fig8_suite_table(benchmark):
             per_query[highlighted]["correlated"]
 
     plan = db.plan(QUERIES["Q2"], FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

@@ -42,6 +42,6 @@ def test_fig9_query17_scaling(benchmark):
 
     db = tpch_database(HEADLINE_SF)
     plan = db.plan(QUERIES["Q17"], FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

@@ -38,6 +38,6 @@ def test_fig9_query2_scaling(benchmark):
 
     db = tpch_database(HEADLINE_SF)
     plan = db.plan(QUERIES["Q2"], FULL)
-    from repro.executor.physical import PhysicalExecutor
-    executor = PhysicalExecutor(db.storage)
+    from repro.executor import VectorizedExecutor
+    executor = VectorizedExecutor(db.storage)
     benchmark(lambda: executor.run(plan))

@@ -5,7 +5,7 @@ A complete SQL query processor in Python: parser, algebrizer, algebraic
 decorrelation via the Apply operator (identities (1)–(9)), comprehensive
 GroupBy optimization (reordering around joins and outerjoins, local/global
 aggregate splitting, segmented execution via SegmentApply), a Volcano-style
-cost-based optimizer and an iterator execution engine.
+cost-based optimizer and a vectorized (batch-at-a-time) execution engine.
 
 Quickstart::
 

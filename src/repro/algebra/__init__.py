@@ -28,7 +28,8 @@ from .scalar import (AggregateCall, And, Arithmetic, Case, ColumnRef,
                      InSubquery, IsNull, Like, Literal, Negate, Not, Or,
                      Parameter, QuantifiedComparison, ScalarExpr,
                      ScalarSubquery, column_equalities, conjunction,
-                     conjuncts, disjuncts, equals, parameter_slot)
+                     conjuncts, disjuncts, equals, parameter_slot,
+                     split_equi)
 
 __all__ = [
     "AggregateCall", "AggregateDescriptor", "AggregateFunction",
@@ -46,7 +47,7 @@ __all__ = [
     "derive_keys", "descriptor", "equals", "explain",
     "functionally_determines", "has_key", "key_within", "max_one_row",
     "never_empty", "null_rejected_columns", "plan_fingerprint",
-    "plan_signature",
+    "plan_signature", "split_equi",
     "sql_and", "sql_compare", "sql_not", "sql_or", "strict_columns",
     "substitute_outer_columns", "transform_bottom_up",
 ]

@@ -142,7 +142,8 @@ class AggregateDescriptor:
         return state
 
     def merge(self, state: Any, other: Any) -> Any:
-        """Combine two partial states (used by spilling-style execution)."""
+        """Combine two partial states (materialized-view maintenance folds a
+        commit's partial rows into the stored ones with it)."""
         func = self.func
         if func in (AggregateFunction.COUNT, AggregateFunction.COUNT_STAR):
             return state + other

@@ -21,7 +21,8 @@ the basis of the correlation (outer-reference) analysis.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional,
+                    Sequence)
 
 from .aggregates import AggregateFunction, descriptor
 from .columns import Column, ColumnSet
@@ -883,6 +884,28 @@ def conjuncts(expr: ScalarExpr) -> list[ScalarExpr]:
             result.extend(conjuncts(arg))
         return result
     return [expr]
+
+
+def split_equi(predicate: Optional[ScalarExpr], left_ids: frozenset[int],
+               right_ids: frozenset[int]):
+    """Equality column pairs (left, right) plus residual conjuncts."""
+    if predicate is None:
+        return [], []
+    equi = []
+    residual = []
+    for part in conjuncts(predicate):
+        if (isinstance(part, Comparison) and part.op == "="
+                and isinstance(part.left, ColumnRef)
+                and isinstance(part.right, ColumnRef)):
+            a, b = part.left.column, part.right.column
+            if a.cid in left_ids and b.cid in right_ids:
+                equi.append((a, b))
+                continue
+            if b.cid in left_ids and a.cid in right_ids:
+                equi.append((b, a))
+                continue
+        residual.append(part)
+    return equi, residual
 
 
 def disjuncts(expr: ScalarExpr) -> list[ScalarExpr]:

@@ -131,8 +131,8 @@ class PlanAnalyzer:
             return []
         issues = verify_physical(plan, env,
                                  index_provider=self.index_provider)
-        # Positional layout checks: both engines compile against these,
-        # and the vectorized engine gathers whole columns by position.
+        # Positional layout checks: the engine compiles against these
+        # and gathers whole columns by position.
         issues.extend(verify_batch_layout(plan))
         self._report(stage, issues)
         return issues

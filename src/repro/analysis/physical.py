@@ -205,8 +205,7 @@ def verify_batch_layout(plan: PhysicalOp) -> list[AnalysisIssue]:
     by *position* — a filter passes its child's columns through unchanged,
     a join's output is the left columns followed by the right columns, an
     aggregate's output is its group columns followed by its aggregate
-    columns.  The tuple engine compiles against the same positions, but
-    the batched engine also gathers whole child columns by index, so a
+    columns.  The engine gathers whole child columns by index, so a
     plan whose declared ``columns`` sequence drifts from the construction
     rule would silently transpose data.  This walk re-derives each
     operator's expected layout from its inputs and flags any mismatch.
@@ -257,8 +256,8 @@ def _walk_batch(plan: PhysicalOp, path: tuple[int, ...],
                        f"{width} column(s)")
                 break
     elif isinstance(plan, PSegmentApply):
-        # The segment binding is the left input's rows verbatim (both
-        # engines publish them unchanged), read positionally by the
+        # The segment binding is the left input's rows verbatim (the
+        # engine publishes them unchanged), read positionally by the
         # SegmentRef leaves.  The binding columns may be *renamed*
         # mirrors of the left columns (fresh cids), so only the arity is
         # checkable here.

@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..core.normalize import NormalizeConfig
 from ..core.optimizer import OptimizerConfig
-from ..database import (CORRELATED, DECORRELATE_ONLY, FULL, Database,
-                        ExecutionMode)
+from ..database import (CORRELATED, DECORRELATE_ONLY, FULL, NAIVE,
+                        Database, ExecutionMode)
 from ..tpch import create_tpch_schema, generate_tpch
 
 #: The benchmark "system" axis: the paper's system (FULL) against
@@ -83,12 +83,9 @@ class Measurement:
 
 
 def time_query(db: Database, sql: str, mode: ExecutionMode,
-               repeat: int = 1, engine: str = "tuple",
-               ) -> tuple[float, float, int]:
+               repeat: int = 1) -> tuple[float, float, int]:
     """(plan seconds, best-of-``repeat`` execution seconds, row count)."""
-    from ..executor import VectorizedExecutor
-    from ..executor.physical import PhysicalExecutor
-    from ..executor import NaiveInterpreter
+    from ..executor import NaiveInterpreter, VectorizedExecutor
     from ..sql import parse
 
     if mode.use_naive_interpreter:
@@ -106,8 +103,7 @@ def time_query(db: Database, sql: str, mode: ExecutionMode,
     start = time.perf_counter()
     plan = db.plan(sql, mode)
     plan_seconds = time.perf_counter() - start
-    executor = (VectorizedExecutor(db.storage) if engine == "vectorized"
-                else PhysicalExecutor(db.storage))
+    executor = VectorizedExecutor(db.storage)
     best = float("inf")
     rows = 0
     for _ in range(repeat):
@@ -187,50 +183,55 @@ def series_table(measurements: Sequence[Measurement]) -> str:
 #: Q17-shaped workloads: the scan, the filter, the grouped aggregate that
 #: dominates Q17's inner subquery, and the full query.  The aggregate row
 #: is the headline number (the paper's SegmentApply strategy spends its
-#: time exactly there).
-VECTORIZED_WORKLOADS: tuple[tuple[str, str], ...] = (
-    ("q17_scan", "select l_partkey, l_quantity from lineitem"),
+#: time exactly there).  The naive interpreter is the baseline of the
+#: single-table shapes; the full query is quadratic under it, so that row
+#: reports the vectorized time alone.
+VECTORIZED_WORKLOADS: tuple[tuple[str, str | None, bool], ...] = (
+    ("q17_scan", "select l_partkey, l_quantity from lineitem", True),
     ("q17_scan_filter",
-     "select l_partkey, l_quantity from lineitem where l_quantity < 10"),
+     "select l_partkey, l_quantity from lineitem where l_quantity < 10",
+     True),
     ("q17_aggregate",
      "select l_partkey, 0.2 * avg(l_quantity) from lineitem "
-     "group by l_partkey"),
-    ("q17_full", None),  # resolved to tpch.QUERIES["Q17"]
+     "group by l_partkey", True),
+    ("q17_full", None, False),  # resolved to tpch.QUERIES["Q17"]
 )
 
 
 def vectorized_speedup_report(scale_factor: float = 0.01,
                               repeat: int = 3) -> dict:
-    """Time the Q17-shaped workloads on the tuple and vectorized engines.
+    """Time the Q17-shaped workloads on the vectorized engine and, where
+    feasible, on the naive interpreter.
 
     Returns the ``BENCH_vectorized.json`` payload: per workload, the
-    best-of-``repeat`` elapsed seconds per engine, input rows/second
-    (lineitem rows scanned over elapsed time), and the tuple→vectorized
-    speedup.
+    best-of-``repeat`` elapsed seconds, input rows/second (lineitem rows
+    scanned over elapsed time) and, with a naive baseline, the
+    naive→vectorized speedup (``None`` without one).
     """
     from ..tpch import QUERIES
 
     db = tpch_database(scale_factor)
     input_rows = len(db.storage.get("lineitem").rows)
     workloads = {}
-    for name, sql in VECTORIZED_WORKLOADS:
+    for name, sql, with_baseline in VECTORIZED_WORKLOADS:
         sql = sql if sql is not None else QUERIES["Q17"]
-        _, tuple_s, out_rows = time_query(db, sql, FULL, repeat, "tuple")
-        _, vector_s, vec_rows = time_query(db, sql, FULL, repeat,
-                                           "vectorized")
-        assert vec_rows == out_rows, f"{name}: engines disagree"
+        _, vector_s, out_rows = time_query(db, sql, FULL, repeat)
+        naive_s = None
+        if with_baseline:
+            _, naive_s, naive_rows = time_query(db, sql, NAIVE, repeat)
+            assert naive_rows == out_rows, f"{name}: engines disagree"
         workloads[name] = {
             "sql": sql,
             "input_rows": input_rows,
             "output_rows": out_rows,
-            "tuple_seconds": tuple_s,
+            "naive_seconds": naive_s,
             "vectorized_seconds": vector_s,
-            "tuple_rows_per_sec": input_rows / tuple_s,
             "vectorized_rows_per_sec": input_rows / vector_s,
-            "speedup": tuple_s / vector_s,
+            "speedup": naive_s / vector_s if naive_s is not None else None,
         }
     return {
         "benchmark": "vectorized_engine",
+        "baseline": "naive",
         "scale_factor": scale_factor,
         "repeat": repeat,
         "headline": "q17_aggregate",
@@ -242,11 +243,13 @@ def vectorized_speedup_table(report: dict) -> str:
     """Paper-style table for a :func:`vectorized_speedup_report`."""
     rows = []
     for name, w in report["workloads"].items():
-        rows.append([name, w["tuple_seconds"], w["vectorized_seconds"],
-                     w["vectorized_rows_per_sec"],
-                     f"{w['speedup']:.2f}x"])
+        speedup = w["speedup"]
+        rows.append([name,
+                     w["naive_seconds"] if speedup is not None else "-",
+                     w["vectorized_seconds"], w["vectorized_rows_per_sec"],
+                     f"{speedup:.2f}x" if speedup is not None else "-"])
     return format_table(
-        ["workload", "tuple_s", "vectorized_s", "vec_rows/s", "speedup"],
+        ["workload", "naive_s", "vectorized_s", "vec_rows/s", "speedup"],
         rows)
 
 

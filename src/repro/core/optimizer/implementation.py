@@ -19,7 +19,8 @@ from ...algebra import (Apply, ColumnRef, Comparison, ConstantScan,
                         Difference, Get, GroupBy, Join, JoinKind, Literal,
                         LocalGroupBy, Max1row, Project, RelationalOp,
                         ScalarExpr, ScalarGroupBy, SegmentApply, SegmentRef,
-                        Select, Sort, Top, UnionAll, conjunction, conjuncts)
+                        Select, Sort, Top, UnionAll, conjunction, conjuncts,
+                        split_equi)
 from ...errors import PlanError
 from ...physical.plan import (PConstantScan, PDifference, PFilter,
                               PHashAggregate, PHashJoin, PIndexSeek,
@@ -325,7 +326,7 @@ class Implementer:
         predicate = op.predicate
         left_ids = frozenset(c.cid for c in op.left.output_columns())
         right_ids = frozenset(c.cid for c in op.right.output_columns())
-        equi, residual = _split_equi(predicate, left_ids, right_ids)
+        equi, residual = split_equi(predicate, left_ids, right_ids)
         if equi:
             left_keys = [ColumnRef(l) for l, _ in equi]
             right_keys = [ColumnRef(r) for _, r in equi]
@@ -435,28 +436,6 @@ class Implementer:
 # ---------------------------------------------------------------------------
 # predicate decomposition helpers
 # ---------------------------------------------------------------------------
-
-def _split_equi(predicate: Optional[ScalarExpr],
-                left_ids: frozenset[int], right_ids: frozenset[int]):
-    """Equality column pairs (left, right) plus residual conjuncts."""
-    if predicate is None:
-        return [], []
-    equi = []
-    residual = []
-    for part in conjuncts(predicate):
-        if (isinstance(part, Comparison) and part.op == "="
-                and isinstance(part.left, ColumnRef)
-                and isinstance(part.right, ColumnRef)):
-            a, b = part.left.column, part.right.column
-            if a.cid in left_ids and b.cid in right_ids:
-                equi.append((a, b))
-                continue
-            if b.cid in left_ids and a.cid in right_ids:
-                equi.append((b, a))
-                continue
-        residual.append(part)
-    return equi, residual
-
 
 def _constant_equality(part: ScalarExpr, get_ids: dict):
     """Match ``col = probe`` where col belongs to the Get and the probe is

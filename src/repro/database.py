@@ -40,7 +40,6 @@ from .errors import (BindError, CatalogError, DurabilityError,
                      OptimizerBudgetExceeded, ParameterError, PlanError,
                      RecoveryError, ReproError)
 from .executor import NaiveInterpreter
-from .executor.physical import PhysicalExecutor
 from .executor.vectorized import DEFAULT_BATCH_SIZE, VectorizedExecutor
 from .feedback import (DEFAULT_Q_ERROR_THRESHOLD, FeedbackLoop,
                        render_tree, tree_dict, tree_max_q_error)
@@ -89,12 +88,12 @@ NAIVE = ExecutionMode("naive", use_naive_interpreter=True)
 MODES = {mode.name: mode for mode in (FULL, DECORRELATE_ONLY, CORRELATED,
                                       NAIVE)}
 
-#: Execution engines: how a chosen physical plan is evaluated.  The
-#: optimizer pipeline is identical for both — only the runtime differs.
-#: ``"tuple"`` is the iterator (tuple-at-a-time) executor, ``"vectorized"``
-#: the batch-at-a-time columnar executor.  (``mode="naive"`` bypasses
-#: physical planning entirely and ignores the engine.)
-ENGINES = ("tuple", "vectorized")
+#: Execution engines: how a chosen physical plan is evaluated.  One
+#: engine remains — ``"vectorized"``, the batch-at-a-time columnar
+#: executor — and ``engine=`` arguments are still validated against this
+#: tuple.  (``mode="naive"`` bypasses physical planning entirely and
+#: ignores the engine.)
+ENGINES = ("vectorized",)
 
 #: Output formats accepted by the unified explain API.
 EXPLAIN_FORMATS = ("text", "dict")
@@ -298,17 +297,14 @@ class PreparedStatement:
     """
 
     def __init__(self, database: "Database", sql: str,
-                 mode: ExecutionMode, engine: str = "tuple") -> None:
+                 mode: ExecutionMode) -> None:
         self._database = database
         self.sql = sql
         self.mode = mode
-        self.engine = engine
-        self._database._cached_plan(sql, mode,
-                                    engine=engine)  # compile eagerly
+        self._database._cached_plan(sql, mode)  # compile eagerly
 
     def _entry(self) -> CachedPlan:
-        return self._database._cached_plan(self.sql, self.mode,
-                                           engine=self.engine)
+        return self._database._cached_plan(self.sql, self.mode)
 
     @property
     def parameters(self) -> tuple:
@@ -334,8 +330,7 @@ class PreparedStatement:
         return self._database.execute(
             self.sql, self.mode, params, timeout=timeout,
             row_budget=row_budget, memory_budget=memory_budget,
-            optimizer_budget=optimizer_budget, governor=governor,
-            engine=self.engine)
+            optimizer_budget=optimizer_budget, governor=governor)
 
     def explain(self, *deprecated,
                 options: ExplainOptions | None = None,
@@ -352,19 +347,16 @@ class PreparedStatement:
         resolved = _explain_options(deprecated, options, analyze, costs,
                                     format)
         return self._database.explain(self.sql, self.mode,
-                                      options=resolved,
-                                      engine=self.engine, params=params)
+                                      options=resolved, params=params)
 
     def __repr__(self) -> str:
-        return (f"PreparedStatement({self.sql!r}, mode={self.mode.name}, "
-                f"engine={self.engine})")
+        return f"PreparedStatement({self.sql!r}, mode={self.mode.name})"
 
 
 class Database:
     """An embedded SQL database running the paper's optimizer pipeline."""
 
     def __init__(self, plan_cache_capacity: int = 128,
-                 default_engine: str = "tuple",
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  plan_cache_shards: int = 1,
                  feedback: bool = False,
@@ -374,21 +366,15 @@ class Database:
                  checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
                  morsel_workers: int = 1,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
-        if default_engine not in ENGINES:
-            raise ValueError(
-                f"unknown execution engine {default_engine!r}; "
-                f"expected one of: {', '.join(ENGINES)}")
         self.catalog = Catalog()
         self.storage = Storage(chunk_rows=chunk_rows)
         self._binder = Binder(self.catalog)
-        self._executor = PhysicalExecutor(self.storage)
-        # ``morsel_workers > 1`` lets multi-chunk vectorized scans fan
-        # chunks out over the shared morsel helper pool (repro.executor
-        # .morsel); 1 — the default — keeps scans on the query thread.
-        self._vectorized = VectorizedExecutor(self.storage,
-                                              batch_size=batch_size,
-                                              morsel_workers=morsel_workers)
-        self.default_engine = default_engine
+        # ``morsel_workers > 1`` lets multi-chunk scans fan chunks out
+        # over the shared morsel helper pool (repro.executor.morsel);
+        # 1 — the default — keeps scans on the query thread.
+        self._executor = VectorizedExecutor(self.storage,
+                                            batch_size=batch_size,
+                                            morsel_workers=morsel_workers)
         #: Runtime cardinality observations (repro.feedback); consulted
         #: by every optimizer this database builds.
         self.corrections = CorrectionStore(row_count_of=self._row_count)
@@ -740,10 +726,9 @@ class Database:
         statement text (modulo whitespace and keyword case) skips parse,
         bind, normalization and optimization entirely.  ``mode`` accepts
         an :class:`ExecutionMode` or its name (``"full"``, ``"naive"``,
-        ...).  ``engine`` selects the runtime — ``"tuple"`` (iterator) or
-        ``"vectorized"`` (batch-at-a-time columnar); it defaults to the
-        database's :attr:`default_engine` and does not affect results,
-        only how the chosen physical plan is evaluated.
+        ...).  ``engine``, if given, must name the one execution engine,
+        ``"vectorized"`` (see :data:`ENGINES`); any other value raises
+        ``ValueError``.
 
         Resource governance: ``timeout`` (wall-clock seconds, covering
         optimization and execution), ``row_budget`` (rows examined),
@@ -774,7 +759,7 @@ class Database:
         :attr:`matviews` and return a one-row status result.
         """
         resolved = self._resolve_mode(mode)
-        resolved_engine = self._resolve_engine(engine)
+        self._check_engine(engine)
         matview_stmt = split_matview_ddl(sql)
         if matview_stmt is not None:
             return self._execute_matview_ddl(matview_stmt)
@@ -785,8 +770,7 @@ class Database:
             inner_sql, analyze = explain_stmt
             rendered = self.explain(
                 inner_sql, resolved,
-                options=ExplainOptions(analyze=analyze),
-                engine=resolved_engine, params=params)
+                options=ExplainOptions(analyze=analyze), params=params)
             return QueryResult(["plan"],
                                [(line,) for line in rendered.split("\n")],
                                [DataType.VARCHAR])
@@ -801,7 +785,6 @@ class Database:
         if gov is not None:
             gov.start()
         entry = self._cached_plan(sql, resolved, gov,
-                                  engine=resolved_engine,
                                   use_matviews=use_matviews is not False)
         if entry.matviews and snapshot is not None \
                 and not _resolvable(snapshot, entry.matviews):
@@ -810,7 +793,6 @@ class Database:
             # table is not resolvable from the snapshot, recompile
             # against base tables instead of failing mid-execution.
             entry = self._cached_plan(sql, resolved, gov,
-                                      engine=resolved_engine,
                                       use_matviews=False)
         values = bind_parameters(entry.parameters, params)
         degraded = entry.degraded
@@ -861,15 +843,12 @@ class Database:
             # not be built: interpret the bound logical tree directly.
             return self._run_naive(entry.rel, values, gov, snapshot,
                                    profile)
-        rows = self._executor_for(entry.engine).run_prepared(
+        rows = self._executor.run_prepared(
             entry.executable, values, gov, storage=snapshot,
             profile=profile)
         if entry.matviews:
             self.matviews.note_rewrite()
         return rows
-
-    def _executor_for(self, engine: str):
-        return self._vectorized if engine == "vectorized" else self._executor
 
     def _run_naive(self, rel: RelationalOp, values: tuple,
                    gov: ResourceGovernor | None,
@@ -885,14 +864,13 @@ class Database:
                 mode: ExecutionMode | str = FULL,
                 engine: str | None = None) -> PreparedStatement:
         """Compile ``sql`` once for repeated execution with fresh bindings."""
-        return PreparedStatement(self, sql, self._resolve_mode(mode),
-                                 self._resolve_engine(engine))
+        self._check_engine(engine)
+        return PreparedStatement(self, sql, self._resolve_mode(mode))
 
     # -- sessions ------------------------------------------------------------------
 
     def session(self, lock_timeout: float = 5.0,
-                default_mode: ExecutionMode | str = FULL,
-                default_engine: str | None = None):
+                default_mode: ExecutionMode | str = FULL):
         """Open a :class:`~repro.server.sessions.Session` on this database.
 
         Sessions provide begin/commit/rollback with copy-on-write
@@ -901,8 +879,7 @@ class Database:
         """
         from .server.sessions import Session  # deferred: avoid cycle
         return Session(self, lock_timeout=lock_timeout,
-                       default_mode=self._resolve_mode(default_mode),
-                       default_engine=self._resolve_engine(default_engine))
+                       default_mode=self._resolve_mode(default_mode))
 
     def _register_session(self, session_id: str) -> None:
         with self._sessions_lock:
@@ -917,14 +894,17 @@ class Database:
         with self._sessions_lock:
             return len(self._open_sessions)
 
-    def _resolve_engine(self, engine: str | None) -> str:
-        if engine is None:
-            return self.default_engine
-        if engine not in ENGINES:
+    @property
+    def default_engine(self) -> str:
+        """The execution engine every physical plan runs on."""
+        return ENGINES[0]
+
+    @staticmethod
+    def _check_engine(engine: str | None) -> None:
+        if engine is not None and engine not in ENGINES:
             raise ValueError(
                 f"unknown execution engine {engine!r}; "
                 f"expected one of: {', '.join(ENGINES)}")
-        return engine
 
     def _resolve_mode(self, mode: ExecutionMode | str) -> ExecutionMode:
         if isinstance(mode, ExecutionMode):
@@ -939,7 +919,6 @@ class Database:
 
     def _cached_plan(self, sql: str, mode: ExecutionMode,
                      gov: ResourceGovernor | None = None,
-                     engine: str = "tuple",
                      use_matviews: bool = True) -> CachedPlan:
         """The compiled form of ``sql``, from cache or built fresh.
 
@@ -964,7 +943,7 @@ class Database:
         mode_key = mode.name if use_matviews else mode.name + "#raw"
         try:
             entry = self.plan_cache.get(sql_key, mode_key,
-                                        self.catalog.version, engine)
+                                        self.catalog.version)
         except InjectedFault:
             entry = None
         if entry is not None:
@@ -987,7 +966,7 @@ class Database:
                                            stage="admission:logical")
                 plan = self._optimizer(mode, gov, use_matviews).optimize(
                     normalized)
-                executable = self._executor_for(engine).prepare(plan)
+                executable = self._executor.prepare(plan)
                 if analyzer is not None:
                     analyzer.check_physical(plan,
                                             stage="admission:physical")
@@ -995,8 +974,7 @@ class Database:
                     ExecutionError) as exc:
                 degraded = True
                 reason = f"{type(exc).__name__}: {exc}"
-                plan, executable = self._degraded_plan(mode, normalized,
-                                                       engine)
+                plan, executable = self._degraded_plan(mode, normalized)
         matviews = self._scanned_matviews(plan)
         table_names = frozenset(
             get.table_name.lower()
@@ -1007,7 +985,6 @@ class Database:
             sql_key=sql_key,
             mode_name=mode_key,
             catalog_version=catalog_version,
-            engine=engine,
             names=list(bound.names),
             types=bound.column_types,
             parameters=bound.parameters,
@@ -1040,8 +1017,7 @@ class Database:
             stack.extend(node.children)
         return tuple(sorted(found))
 
-    def _degraded_plan(self, mode: ExecutionMode, normalized: RelationalOp,
-                       engine: str = "tuple"
+    def _degraded_plan(self, mode: ExecutionMode, normalized: RelationalOp
                        ) -> tuple[PhysicalOp | None, Any]:
         """Fallback tiers after a cost-based-optimizer failure.
 
@@ -1055,7 +1031,7 @@ class Database:
         analyzer = PlanAnalyzer.for_admission(self._index_provider)
         try:
             plan = self._optimizer(mode).heuristic_plan(normalized)
-            executable = self._executor_for(engine).prepare(plan)
+            executable = self._executor.prepare(plan)
             if analyzer is not None:
                 analyzer.check_physical(plan, stage="fallback:heuristic")
             return plan, executable
@@ -1104,10 +1080,9 @@ class Database:
         resolved = _explain_options(deprecated, options, analyze, costs,
                                     format)
         mode = self._resolve_mode(mode)
+        self._check_engine(engine)
         if resolved.analyze:
-            return self._explain_analyze(sql, mode, resolved,
-                                         self._resolve_engine(engine),
-                                         params)
+            return self._explain_analyze(sql, mode, resolved, params)
         bound = self._binder.bind(parse(sql))
         normalized = normalize(bound.rel, mode.normalize_config)
         costed = None
@@ -1149,18 +1124,18 @@ class Database:
         return "\n".join(sections)
 
     def _explain_analyze(self, sql: str, mode: ExecutionMode,
-                         options: ExplainOptions, engine: str,
+                         options: ExplainOptions,
                          params: Params) -> "str | dict":
         """One profiled execution, rendered as an annotated plan tree.
 
-        Physical plans (tuple/vectorized engines) are annotated from the
+        Physical plans are annotated from the
         estimates the optimizer stamped at costing time; naive mode
         interprets the bound logical tree, so its estimates are computed
         at explain time by walking the tree with the estimator.  The
         observation is recorded into the feedback loop exactly as an
         ordinary feedback-enabled execution would.
         """
-        entry = self._cached_plan(sql, mode, engine=engine)
+        entry = self._cached_plan(sql, mode)
         values = bind_parameters(entry.parameters, params)
         profile: dict[Any, int] = {}
         started = time.monotonic()
@@ -1178,7 +1153,7 @@ class Database:
         stats.max_q_error = tree_max_q_error(tree)
         if options.format == "dict":
             payload = {"sql": sql, "mode": mode.name,
-                       "engine": entry.engine, "analyze": True,
+                       "engine": self.default_engine, "analyze": True,
                        "plan": tree, "row_count": len(rows),
                        "stats": stats.as_dict()}
             if entry.matviews:

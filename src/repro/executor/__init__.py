@@ -1,5 +1,5 @@
-"""Execution engines: the naive logical interpreter (oracle/baseline),
-the physical iterator engine, and the vectorized batch engine."""
+"""Execution: the vectorized batch engine, which runs every physical plan,
+and the naive logical interpreter, which stays as the reference oracle."""
 
 from .naive import NaiveInterpreter, like_match
 from .vectorized import Batch, VectorizedExecutor

@@ -98,7 +98,7 @@ class NaiveInterpreter:
 
         With profiling enabled the produced rows are counted per logical
         node (correlated re-evaluation accumulates, mirroring the
-        physical engines' per-open accumulation under NLApply).
+        physical engine's per-binding accumulation under NLApply).
         """
         source = self._rows(rel, env)
         if self._profile is None:

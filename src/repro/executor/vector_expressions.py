@@ -6,10 +6,10 @@ column batch at once and returns one output value per row.  ``batch`` is a
 :class:`~repro.executor.vectorized.Batch` (list-of-columns), ``params``
 maps correlation-parameter column ids / query-parameter slots to values.
 
-Semantics are identical to the row compiler (:mod:`.expressions`): the
-same three-valued-logic helpers and NULL-propagating arithmetic are
-applied elementwise, so a query answered by either engine produces the
-same values.  The speed comes from the evaluation shape: one Python-level
+Semantics are those of the naive interpreter's scalar evaluator
+(:meth:`~repro.executor.naive.NaiveInterpreter.scalar`): the same
+three-valued-logic helpers and NULL-propagating arithmetic are applied
+elementwise.  The speed comes from the evaluation shape: one Python-level
 loop (a list comprehension or a C-level ``map``) per operator per batch
 instead of a closure-call tree per row.
 
@@ -27,7 +27,7 @@ scalar execution.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from ..algebra.datatypes import (ARITHMETIC_FUNCTIONS, sql_and, sql_compare,
                                  sql_not, sql_or)
@@ -232,20 +232,13 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         non_null = frozenset(v for v in values if v is not None)
         negated = expr.negated
 
-        def eval_in(batch: "Batch", params: Mapping[int, Any]) -> list:
-            out = []
-            for v in inner(batch, params):
-                if v is None:
-                    result: Any = None
-                elif v in non_null:
-                    result = True
-                elif has_null:
-                    result = None
-                else:
-                    result = False
-                out.append(sql_not(result) if negated else result)
-            return out
-        return eval_in
+        # A value outside the list is FALSE, or UNKNOWN when the list
+        # holds a NULL; NOT IN flips TRUE and FALSE.
+        hit = not negated
+        miss = None if has_null else negated
+        return lambda batch, params: [
+            None if v is None else hit if v in non_null else miss
+            for v in inner(batch, params)]
 
     if isinstance(expr, AggregateCall):
         raise ExecutionError(
@@ -256,14 +249,21 @@ def compile_vector(expr: ScalarExpr, layout: Layout) -> CompiledVector:
         f"physical plans must be normalized (no embedded subqueries)")
 
 
-def split_conjuncts(expr: ScalarExpr) -> list[ScalarExpr]:
-    """Flatten nested ANDs into a conjunct list.
+def build_layout(columns) -> dict[int, int]:
+    """Column id → column position for an operator's output."""
+    return {c.cid: i for i, c in enumerate(columns)}
+
+
+def split_conjuncts(expr: Optional[ScalarExpr]) -> list[ScalarExpr]:
+    """Flatten nested ANDs into a conjunct list (none for no predicate).
 
     Filtering keeps only rows where the whole predicate is TRUE, and an
     AND is TRUE exactly when every conjunct is TRUE — so a filter may
     apply conjuncts one at a time, compacting the batch between them
     (predicate short-circuiting at batch granularity).
     """
+    if expr is None:
+        return []
     if isinstance(expr, And):
         out: list[ScalarExpr] = []
         for arg in expr.args:

@@ -33,8 +33,7 @@ INJECTION_SITES = frozenset({
     "optimizer.implement",  # per group visited by Implementer.best_plan
     "plancache.get",        # per plan-cache lookup
     "plancache.put",        # per plan-cache insertion
-    "executor.open",        # per tuple-engine physical execution start
-    "executor.open.vectorized",  # per vectorized-engine execution start
+    "executor.open",        # per physical (vectorized) execution start
     "columnar.decode",      # per column-chunk decode (first touch only)
     "executor.naive",       # per naive-interpreter run start
     "analyzer.check",       # per static plan-analysis entry point

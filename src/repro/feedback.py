@@ -4,7 +4,7 @@ The cost model estimates; execution knows.  This module closes the loop
 between them:
 
 * executors count actual rows produced per plan node (``profile`` dicts,
-  see the engines' ``run_prepared``);
+  see ``VectorizedExecutor.run_prepared``);
 * :func:`collect` joins those counts against the estimates the optimizer
   stamped on the plan (``PhysicalOp.estimated_rows``) and computes the
   per-node **Q-error** — ``max(estimated / actual, actual / estimated)``

@@ -163,10 +163,6 @@ class ResourceGovernor:
             return 0.0
         return time.monotonic() - self._started_at
 
-    @property
-    def check_interval(self) -> int:
-        return self._check_interval
-
     # -- checks ------------------------------------------------------------------
 
     def check_deadline(self) -> None:
@@ -263,56 +259,6 @@ class ResourceGovernor:
             return self.guard(rows)
         self.consume_rows(n)
         return iter(rows)
-
-    def hold_iter(self, iterable: Iterable[tuple]) -> Iterator[tuple]:
-        """Yield from ``iterable`` while metering rows buffered.
-
-        Same chunked pulling as :meth:`guard`.  The caller owns the
-        release: it knows when its buffer dies and how many rows it
-        retained (``release_rows``).
-        """
-        interval = self._check_interval
-        it = iter(iterable)
-        while True:
-            batch = list(islice(it, interval))
-            if not batch:
-                return
-            self.hold_rows(len(batch))
-            yield from batch
-
-    def guard_into_list(self, iterable: Iterable[tuple]) -> list:
-        """Materialize ``iterable`` into a list while metering examined
-        rows per chunk — the C-speed counterpart of :meth:`guard` for
-        consumers that collect the whole stream (the executor's root
-        does, to detect output explosions incrementally).
-        """
-        out: list = []
-        interval = self._check_interval
-        it = iter(iterable)
-        while True:
-            batch = list(islice(it, interval))
-            if not batch:
-                return out
-            self.consume_rows(len(batch))
-            out.extend(batch)
-
-    def hold_into_list(self, iterable: Iterable[tuple]) -> list:
-        """Materialize ``iterable`` into a list while metering buffered
-        rows per chunk.  For consumers that buffer their whole input
-        anyway (sort inputs, materialized join inners) this replaces the
-        per-row :meth:`hold_iter` wrapper with C-speed ``islice`` +
-        ``extend``, at identical budget granularity.  The caller still
-        owns the release of ``len(result)`` rows.
-        """
-        out: list = []
-        interval = self._check_interval
-        it = iter(iterable)
-        while True:
-            batch = list(islice(it, interval))
-            if not batch:
-                return out
-            self.hold_rows(len(batch))
-            out.extend(batch)
 
     # -- reporting ---------------------------------------------------------------
 

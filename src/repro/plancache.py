@@ -6,8 +6,7 @@ repeating parse → bind → normalize → optimize → compile: the optimized
 physical plan, the prepared executable, the output schema and the parameter
 list.  Entries are keyed on the *token-normalized* SQL text (whitespace,
 comments and letter case of keywords do not fragment the cache), the
-execution-mode name, the execution engine the plan was compiled for, and
-the catalog schema version at plan time.
+execution-mode name, and the catalog schema version at plan time.
 
 Soundness comes from three mechanisms:
 
@@ -68,11 +67,6 @@ class CachedPlan:
     rel: Any
     executable: Any
     snapshot: StatsSnapshot
-    #: Execution engine the ``executable`` was prepared for ("tuple" or
-    #: "vectorized").  Part of the cache key: the two engines compile the
-    #: same physical plan into incompatible executables (row iterators vs
-    #: batch iterators), so entries must never collide across engines.
-    engine: str = "tuple"
     table_names: frozenset[str] = field(default_factory=frozenset)
     #: True when the entry came out of the graceful-degradation ladder
     #: (heuristic plan or naive interpretation).  Degraded entries are
@@ -97,8 +91,7 @@ class CachedPlan:
 
     @property
     def key(self) -> tuple:
-        return (self.sql_key, self.mode_name, self.engine,
-                self.catalog_version)
+        return (self.sql_key, self.mode_name, self.catalog_version)
 
 
 @dataclass
@@ -212,11 +205,10 @@ class PlanCache:
             return key in shard.entries
 
     def get(self, sql_key: Hashable, mode_name: str,
-            catalog_version: int,
-            engine: str = "tuple") -> CachedPlan | None:
+            catalog_version: int) -> CachedPlan | None:
         """Look up a cached plan, applying LRU touch and staleness check."""
         faultinject.hit("plancache.get")
-        key = (sql_key, mode_name, engine, catalog_version)
+        key = (sql_key, mode_name, catalog_version)
         shard = self._shard_for(key)
         with shard.lock:
             entry = shard.entries.get(key)

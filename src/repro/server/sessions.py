@@ -181,15 +181,12 @@ class Session:
     """
 
     def __init__(self, database, lock_timeout: float = 5.0,
-                 default_mode=None, default_engine: str | None = None
-                 ) -> None:
+                 default_mode=None) -> None:
         self._db = database
         self.session_id = f"session-{next(_session_ids)}"
         self.lock_timeout = lock_timeout
         self.default_mode = (default_mode if default_mode is not None
                              else database._resolve_mode("full"))
-        self.default_engine = (default_engine if default_engine is not None
-                               else database.default_engine)
         self.stats = SessionStats()
         self._txn: _Transaction | None = None
         self._closed = False
@@ -272,8 +269,7 @@ class Session:
             snapshot = self._db.storage.snapshot()
         result = self._db.execute(
             sql, mode if mode is not None else self.default_mode, params,
-            engine=engine if engine is not None else self.default_engine,
-            timeout=timeout, row_budget=row_budget,
+            engine=engine, timeout=timeout, row_budget=row_budget,
             memory_budget=memory_budget,
             optimizer_budget=optimizer_budget, governor=governor,
             snapshot=snapshot, use_matviews=use_matviews)
@@ -311,7 +307,7 @@ class Session:
                 params=None) -> "str | dict":
         """Explain through the unified API (see :meth:`Database.explain`).
 
-        Defaults the mode and engine to the session's; a positional
+        Defaults the mode to the session's; a positional
         ``costs`` flag (pre-1.4 signature) still works but warns.
         """
         self._check_open()
@@ -320,9 +316,7 @@ class Session:
                                     format)
         return self._db.explain(
             sql, mode if mode is not None else self.default_mode,
-            options=resolved,
-            engine=engine if engine is not None else self.default_engine,
-            params=params)
+            options=resolved, engine=engine, params=params)
 
     # -- DDL (always autocommit) ---------------------------------------------------
 

@@ -425,6 +425,33 @@ class ColumnStore:
             raise IndexError("row position out of range")
         return self._tail_rows_now()[offset]
 
+    def gather(self, positions: Sequence[int],
+               columns: Sequence[int]) -> list[list[Any]]:
+        """The values of ``columns`` at row ``positions`` (any order,
+        repeats allowed), one fresh list per requested column — a point
+        read from the decoded chunk columns, never through the row
+        pivot.  Only the chunks some position falls in are decoded."""
+        sealed = self._sealed_rows
+        tail_len = self._tail_len
+        starts = self._starts
+        tail_index = len(self.chunks)
+        located: list[tuple[int, int]] = []
+        for position in positions:
+            if position < sealed:
+                index = bisect_right(starts, position) - 1
+                located.append((index, position - starts[index]))
+            elif position - sealed < tail_len:
+                located.append((tail_index, position - sealed))
+            else:
+                raise IndexError("row position out of range")
+        touched = {index for index, _ in located}
+        out = []
+        for column in columns:
+            sources = {i: self.chunks[i].column(column) if i < tail_index
+                       else self._tail[column] for i in touched}
+            out.append([sources[i][offset] for i, offset in located])
+        return out
+
     def iter_rows(self) -> Iterator[tuple]:
         for chunk in self.chunks:
             yield from chunk.rows()

@@ -183,6 +183,13 @@ class StoredTable:
         declared column, aligned by row position (fresh lists)."""
         return self._store.columns()
 
+    def gather(self, positions: Sequence[int],
+               columns: Sequence[int]) -> list[list]:
+        """Columns ``columns`` at row ``positions`` (see
+        :meth:`~repro.storage.columnar.ColumnStore.gather`) — how index
+        seeks fetch their matches."""
+        return self._store.gather(positions, columns)
+
     def scan_units(self) -> list[ScanUnit]:
         """Every storage chunk (sealed + tail) with its zone maps — the
         vectorized engine's native scan entry point."""

@@ -72,10 +72,9 @@ class TestSiteRegistry:
         assert INJECTION_SITES == {
             "optimizer.explore", "optimizer.memo", "optimizer.implement",
             "plancache.get", "plancache.put", "executor.open",
-            "executor.open.vectorized", "columnar.decode",
-            "executor.naive", "analyzer.check", "admission.enqueue",
-            "snapshot.install", "wire.decode", "feedback.record",
-            "wal.append", "wal.fsync", "wal.checkpoint",
+            "columnar.decode", "executor.naive", "analyzer.check",
+            "admission.enqueue", "snapshot.install", "wire.decode",
+            "feedback.record", "wal.append", "wal.fsync", "wal.checkpoint",
             "recovery.replay", "matview.refresh"}
 
     def test_unknown_site_rejected(self):

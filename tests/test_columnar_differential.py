@@ -1,12 +1,12 @@
 """Encoding / parallelism differential harness for columnar storage.
 
 The columnar layer must be invisible: for every combination of forced
-per-column encoding (plain / dictionary / RLE), vectorized batch size,
-chunk size and morsel worker count, all three engines must return
-exactly what they returned before — the vectorized engine bit-identical
-to the tuple engine, both agreeing with the naive interpreter up to row
-order.  Hypothesis drives NULL-rich inputs (the zone-map NULL rules and
-the type-strict encodings earn their keep there); a fixed corpus pins
+per-column encoding (plain / dictionary / RLE), batch size, chunk size
+and morsel worker count, every execution mode must return exactly what
+it returns over default storage — bit-identical, row order included —
+and agree with the naive interpreter up to row order.  Hypothesis
+drives NULL-rich inputs (the zone-map NULL rules and the type-strict
+encodings earn their keep there); a fixed corpus pins
 the historical divergences, including the all-padded-group outer-join
 aggregate.
 """
@@ -68,14 +68,28 @@ def build_db(t_rows, s_rows, *, t_kinds, s_kinds, batch_size=3,
     return db
 
 
+def default_twin(db: Database) -> Database:
+    """The same tables and rows on default storage and execution
+    settings: plain encodings chosen per chunk, full batches, serial
+    scans."""
+    twin = Database()
+    for name in ("t", "s"):
+        table = db.storage.get(name).definition
+        twin.create_table(name, [(c.name, c.dtype, c.nullable)
+                                 for c in table.columns],
+                          primary_key=table.primary_key)
+        twin.insert(name, list(db.storage.get(name).rows))
+    return twin
+
+
 def assert_engines_agree(db: Database, sql: str) -> None:
     reference = Counter(db.execute(sql, NAIVE).rows)
+    twin = default_twin(db)
     for mode in ALL_MODES:
-        tuple_rows = db.execute(sql, mode, engine="tuple").rows
-        vector_rows = db.execute(sql, mode, engine="vectorized").rows
-        assert vector_rows == tuple_rows, \
-            f"vectorized != tuple under {mode.name} on: {sql}"
-        assert Counter(tuple_rows) == reference, \
+        rows = db.execute(sql, mode).rows
+        assert rows == twin.execute(sql, mode).rows, \
+            f"layout changed the rows under {mode.name} on: {sql}"
+        assert Counter(rows) == reference, \
             f"{mode.name} != naive on: {sql}"
 
 
@@ -118,7 +132,7 @@ NULL_RICH_S = [(None, None), (1, 1), (1, None), (2, 0), (4, 4),
 
 def test_uniform_encoding_grid_on_null_rich_input():
     """Every encoding × every morsel count on the NULL-rich fixture —
-    the full corpus, all three engines."""
+    the full corpus, every mode."""
     for enc in ENCODINGS:
         for workers in (1, 2, 8):
             db = build_db(NULL_RICH_T, NULL_RICH_S,

@@ -196,9 +196,10 @@ class TestPerChunkCaches:
 
     def test_sealed_chunk_caches_survive_writes(self):
         db = self.make_db()
-        # Warm the per-chunk caches via both engines.
-        db.execute("select t.a, t.b from t", FULL, engine="vectorized")
-        db.execute("select t.a, t.b from t", FULL, engine="tuple")
+        # Warm the per-chunk caches: the columns through a scan, the
+        # row pivot through the naive interpreter.
+        db.execute("select t.a, t.b from t", FULL)
+        db.execute("select t.a, t.b from t", NAIVE)
         before = db.storage.get("t")._store
         warmed_chunks = list(before.chunks)
         warmed_pivots = [chunk.rows() for chunk in warmed_chunks]
@@ -226,6 +227,20 @@ class TestPerChunkCaches:
         store = db.storage.get("t")._store
         assert [chunk.nrows for chunk in store.chunks] == [4] * 5
         assert list(store.iter_rows()) == [(i, i % 3) for i in range(20)]
+
+    @pytest.mark.parametrize("nrows", [8, 80])
+    def test_gather_reads_columns_by_position(self, nrows):
+        # Position 6 is in the tail over 8 rows and sealed over 80.
+        store = ColumnStore(2, chunk_rows=3)
+        for i in range(nrows):
+            store.append((i, i * 10))
+        # Sealed chunks and the tail, any order, repeats allowed.
+        positions = [nrows - 1, 0, 4, 4, 2, 6]
+        assert store.gather(positions, [1, 0]) == [
+            [p * 10 for p in positions], positions]
+        assert store.gather([], [0]) == [[]]
+        with pytest.raises(IndexError):
+            store.gather([nrows] * 6, [0])
 
 
 # -- decode fault site ----------------------------------------------------------

@@ -442,7 +442,7 @@ class TestWireStats:
                 assert "-- physical --" in text
 
 
-# -- cross-engine agreement of actual counts -----------------------------------
+# -- agreement of actual counts ------------------------------------------------
 
 
 def _flatten(node):
@@ -450,7 +450,7 @@ def _flatten(node):
 
     Binder-assigned column ids (``a#54``) differ between independent
     compilations of the same statement, so they are stripped before
-    comparing traces across engines.
+    comparing traces across databases.
     """
     label = re.sub(r"#\d+", "", node["op"])
     return ([(label, node["actual_rows"])]
@@ -458,19 +458,20 @@ def _flatten(node):
                for pair in _flatten(child)])
 
 
-def _analyze(db, sql, mode, engine=None):
-    return db.explain(sql, mode, analyze=True, format="dict",
-                      engine=engine)
+def _analyze(db, sql, mode):
+    return db.explain(sql, mode, analyze=True, format="dict")
 
 
-class TestEngineCountAgreement:
+class TestCountAgreement:
+    """Per-operator actual counts do not depend on the batch size, and
+    the root count is the result size the naive interpreter agrees on."""
+
     def test_simple_query_counts_identical(self):
-        db = skewed_db()
-        tup = _analyze(db, SKEW_SQL, FULL, "tuple")
-        vec = _analyze(db, SKEW_SQL, FULL, "vectorized")
-        assert _flatten(tup["plan"]) == _flatten(vec["plan"])
-        assert tup["row_count"] == vec["row_count"] == 80
-        nai = _analyze(db, SKEW_SQL, NAIVE)
+        vec = _analyze(skewed_db(), SKEW_SQL, FULL)
+        one = _analyze(skewed_db(batch_size=1), SKEW_SQL, FULL)
+        assert _flatten(one["plan"]) == _flatten(vec["plan"])
+        assert one["row_count"] == vec["row_count"] == 80
+        nai = _analyze(skewed_db(), SKEW_SQL, NAIVE)
         assert nai["plan"]["actual_rows"] == 80
 
     @settings(max_examples=25, deadline=None, derandomize=True,
@@ -478,47 +479,46 @@ class TestEngineCountAgreement:
     @given(t_rows=t_rows_strategy, s_rows=s_rows_strategy, sql=query())
     def test_generated_queries_counts_agree(self, t_rows, s_rows, sql):
         db = build_db(t_rows, s_rows)
-        tup = _analyze(db, sql, FULL, "tuple")
-        vec = _analyze(db, sql, FULL, "vectorized")
+        vec = _analyze(db, sql, FULL)
+        one = _analyze(build_db(t_rows, s_rows, batch_size=1), sql, FULL)
         nai = _analyze(db, sql, NAIVE)
-        # Every engine's root count is its own result size, and results
-        # agree across engines.
-        assert tup["plan"]["actual_rows"] == tup["row_count"]
+        # The root count is the result size, and results agree.
         assert vec["plan"]["actual_rows"] == vec["row_count"]
+        assert one["plan"]["actual_rows"] == one["row_count"]
         assert nai["plan"]["actual_rows"] == nai["row_count"]
-        assert tup["row_count"] == vec["row_count"] == nai["row_count"]
+        assert one["row_count"] == vec["row_count"] == nai["row_count"]
         if "limit" not in sql:
-            # Without LIMIT no operator terminates early, so the tuple
-            # and vectorized traces are identical node for node.  (Under
-            # LIMIT the tuple engine islices while the vectorized engine
-            # drains whole batches — per-node counts legitimately differ
-            # below the Top.)
-            assert _flatten(tup["plan"]) == _flatten(vec["plan"])
+            # Without LIMIT no operator terminates early, so the traces
+            # are identical node for node.  (Under LIMIT operators below
+            # the Top drain whole batches — per-node counts legitimately
+            # depend on the batch size there.)
+            assert _flatten(one["plan"]) == _flatten(vec["plan"])
 
-    def test_tpch_q17_counts_identical_across_engines(self):
+    def test_tpch_q17_counts_identical_across_batch_sizes(self):
         from repro.bench import tpch_database
-        from repro.tpch import QUERIES
+        from repro.tpch import QUERIES, create_tpch_schema, generate_tpch
 
         db = tpch_database(0.0001, seed=11)
+        row_at_a_time = Database(batch_size=1)
+        create_tpch_schema(row_at_a_time)
+        generate_tpch(row_at_a_time, 0.0001, 11)
         sql = QUERIES["Q17"]
-        tup = _analyze(db, sql, FULL, "tuple")
-        vec = _analyze(db, sql, FULL, "vectorized")
+        vec = _analyze(db, sql, FULL)
+        one = _analyze(row_at_a_time, sql, FULL)
         nai = _analyze(db, sql, NAIVE)
-        assert _flatten(tup["plan"]) == _flatten(vec["plan"])
-        assert (tup["row_count"] == vec["row_count"] == nai["row_count"]
+        assert _flatten(one["plan"]) == _flatten(vec["plan"])
+        assert (one["row_count"] == vec["row_count"] == nai["row_count"]
                 == 1)
-        root = tup["plan"]
+        root = vec["plan"]
         assert root["estimated_rows"] is not None
         assert root["actual_rows"] == 1
         assert root["q_error"] is not None
 
-    def test_engines_agree_after_correction_replan(self):
+    def test_results_unchanged_after_correction_replan(self):
         # The corrected plan (post-invalidation) still returns the same
-        # rows on every engine — feedback changes costs, never results.
+        # rows — feedback changes costs, never results.
         db = skewed_db(feedback=True)
         db.execute(SKEW_SQL, FULL)  # record the misestimate
         expected = Counter(SKEW_EXPECTED)
-        for engine in ("tuple", "vectorized"):
-            assert Counter(db.execute(SKEW_SQL, FULL,
-                                      engine=engine).rows) == expected
+        assert Counter(db.execute(SKEW_SQL, FULL).rows) == expected
         assert Counter(db.execute(SKEW_SQL, NAIVE).rows) == expected

@@ -252,8 +252,7 @@ class TestRewrite:
         sql = "SELECT g, count(*) AS n, avg(c) AS a FROM t " \
               "GROUP BY g ORDER BY g"
         expected = db.execute(sql, FULL, use_matviews=False).rows
-        for engine in ("tuple", "vectorized"):
-            assert db.execute(sql, FULL, engine=engine).rows == expected
+        assert db.execute(sql, FULL).rows == expected
         assert db.execute(sql, NAIVE).rows == expected
 
     def test_smallest_matching_view_wins(self):

@@ -1,9 +1,9 @@
 """Concurrency soak for materialized-view maintenance.
 
 Eight threads hammer one database: query threads run Q17-shaped
-aggregates (both engines, rewritten through the view whenever it
-exists), writer threads churn commits into the base table, and a DDL
-thread drops and recreates the view throughout.  Invariants:
+aggregates (rewritten through the view whenever it exists), writer
+threads churn commits into the base table, and a DDL thread drops and
+recreates the view throughout.  Invariants:
 
 * **in-flight**: inside a read-only transaction, the rewritten answer
   must be bit-identical to the base-table answer over the *same pinned
@@ -11,7 +11,7 @@ thread drops and recreates the view throughout.  Invariants:
   install as their base tables, so no snapshot may ever see them
   disagree;
 * **at rest**: after the churn, views-on results equal views-off
-  results for every engine, and the incrementally maintained backing
+  results, and the incrementally maintained backing
   equals a full recompute.
 
 Run under ``REPRO_RACE=1`` (the CI concurrency-stress job does) to
@@ -61,17 +61,16 @@ def test_concurrent_maintenance_soak():
         try:
             for round_no in range(ROUNDS * 2):
                 sql = QUERIES[(worker_id + round_no) % len(QUERIES)]
-                engine = ("tuple", "vectorized")[round_no % 2]
                 # Pin one snapshot: rewritten and base plans must agree
                 # exactly on it, mid-churn and mid-DDL alike.
-                with db.session(default_engine=engine) as session:
+                with db.session() as session:
                     session.begin()
                     rewritten = session.execute(sql).rows
                     base = session.execute(
                         sql, use_matviews=False).rows
                     session.rollback()
                 assert rewritten == base, (
-                    f"snapshot disagreement on {sql!r} ({engine}): "
+                    f"snapshot disagreement on {sql!r}: "
                     f"{rewritten} != {base}")
         except BaseException as exc:  # noqa: BLE001 - report to main
             errors.append(exc)
@@ -123,13 +122,12 @@ def test_concurrent_maintenance_soak():
         assert not thread.is_alive(), "soak thread hung"
     assert not errors, f"soak raised: {errors[0]!r}"
 
-    # At rest: views-on == views-off serially, on both engines, and the
-    # maintained backing equals a fresh recompute.
+    # At rest: views-on == views-off serially, and the maintained
+    # backing equals a fresh recompute.
     for sql in QUERIES:
         expected = db.execute(sql, use_matviews=False).rows
-        for engine in ("tuple", "vectorized"):
-            got = db.execute(sql, engine=engine).rows
-            assert got == expected, f"at-rest disagreement on {sql!r}"
+        got = db.execute(sql).rows
+        assert got == expected, f"at-rest disagreement on {sql!r}"
     maintained = sorted(db.storage.get("mv").rows)
     db.matviews.refresh("mv")
     assert sorted(db.storage.get("mv").rows) == maintained

@@ -48,19 +48,18 @@ class TestHitsAndMisses:
         db.execute("select a from t", mode="naive")
         assert db.plan_cache.stats.misses == 2
 
-    def test_engines_do_not_share_entries(self):
-        # Regression: with the engine missing from the cache key, a
-        # vectorized execute() after a tuple execute() of the same
-        # statement replayed the tuple executable — same key,
-        # incompatible executable type.
+    def test_engine_argument_shares_one_entry(self):
+        # One engine: naming it or not compiles one plan, and an unknown
+        # engine is rejected before the cache is consulted.
         db = make_db()
-        first = db.execute("select a from t", engine="tuple")
+        first = db.execute("select a from t")
         second = db.execute("select a from t", engine="vectorized")
-        assert db.plan_cache.stats.misses == 2
+        assert db.plan_cache.stats.misses == 1
+        assert db.plan_cache.stats.hits == 1
         assert second.rows == first.rows
-        db.execute("select a from t", engine="tuple")
-        db.execute("select a from t", engine="vectorized")
-        assert db.plan_cache.stats.hits == 2
+        with pytest.raises(ValueError, match="unknown execution engine"):
+            db.execute("select a from t", engine="tuple")
+        assert db.plan_cache.stats.misses == 1
 
     def test_prepared_statement_skips_replanning(self):
         db = make_db()
@@ -209,18 +208,19 @@ class TestStaleness:
 
 class TestPlanCacheUnit:
     def _entry(self, sql_key="k", mode="full", version=0,
-               tables=frozenset(), engine="tuple"):
+               tables=frozenset()):
         return CachedPlan(
             sql_key=sql_key, mode_name=mode, catalog_version=version,
             names=["a"], types=[DataType.INTEGER], parameters=(),
             plan=None, rel=None, executable=None,
-            snapshot=StatsSnapshot({}), engine=engine, table_names=tables)
+            snapshot=StatsSnapshot({}), table_names=tables)
 
-    def test_key_includes_engine(self):
+    def test_key_is_sql_mode_and_catalog_version(self):
         cache = PlanCache()
-        cache.put(self._entry("q", engine="tuple"))
-        assert cache.get("q", "full", 0, engine="vectorized") is None
-        assert cache.get("q", "full", 0, engine="tuple") is not None
+        cache.put(self._entry("q"))
+        assert cache.get("q", "full", 0) is not None
+        assert cache.get("q", "naive", 0) is None
+        assert cache.get("q", "full", 1) is None
 
     def test_targeted_invalidation_by_table(self):
         cache = PlanCache()

@@ -1,7 +1,8 @@
 """Acceptance soak: the concurrency bar the server subsystem must clear.
 
-Eight concurrent sessions each run 200 mixed queries (all execution
-engines, reads over shared tables plus writes to session-private tables)
+Eight concurrent sessions each run 200 mixed queries (cost-based and
+naive modes, reads over shared tables plus writes to session-private
+tables)
 with **zero errors**, and every per-query result is bit-identical to a
 serial replay of the same per-session statement sequence.  At steady
 state the plan cache must serve ≥90% of lookups, and with the queue
@@ -40,7 +41,6 @@ STATEMENTS = [
     ("insert", None),
     ("private", "select sum(k) from {p}"),
 ]
-ENGINES = ("tuple", "vectorized")
 MODES = ("full", "full", "full", "naive")  # mostly cached cost-based plans
 
 
@@ -62,18 +62,17 @@ def build_db() -> Database:
 
 def session_plan(seed: int) -> list:
     """The deterministic statement sequence for session ``seed``:
-    (kind, sql, engine, mode) tuples, with inserts materialized."""
+    (kind, sql, mode) tuples, with inserts materialized."""
     plan = []
     insert_key = iter(range(100_000))
     for step in range(QUERIES_PER_SESSION * ROUNDS_SCALE):
         kind, sql = STATEMENTS[(seed + step) % len(STATEMENTS)]
-        engine = ENGINES[(seed * 7 + step) % len(ENGINES)]
         mode = MODES[(seed * 3 + step) % len(MODES)]
         if kind == "insert":
             rows = [(next(insert_key),) for _ in range(2)]
-            plan.append(("insert", rows, None, None))
+            plan.append(("insert", rows, None))
         else:
-            plan.append(("query", sql.format(p=f"p{seed}"), engine, mode))
+            plan.append(("query", sql.format(p=f"p{seed}"), mode))
     return plan
 
 
@@ -82,9 +81,8 @@ def run_plan(session, seed: int, sink) -> None:
         if entry[0] == "insert":
             session.insert(f"p{seed}", entry[1])
         else:
-            _, sql, engine, mode = entry
-            sink.append(session.execute(sql, engine=engine,
-                                        mode=mode).rows)
+            _, sql, mode = entry
+            sink.append(session.execute(sql, mode=mode).rows)
 
 
 def test_soak_eight_sessions_bit_identical_with_hot_cache():
@@ -104,7 +102,7 @@ def test_soak_eight_sessions_bit_identical_with_hot_cache():
     for seed in range(SESSIONS):  # warm the plan cache, then measure
         for entry in session_plan(seed)[:len(STATEMENTS)]:
             if entry[0] == "query":
-                warm.execute(entry[1], engine=entry[2], mode=entry[3])
+                warm.execute(entry[1], mode=entry[2])
     warm.close()
     db.plan_cache.stats.reset()
 

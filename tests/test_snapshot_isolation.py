@@ -11,7 +11,7 @@
    each run a query workload against a static database, and every single
    result must be bit-identical (values *and* row order) to the serial
    replay of the same workload.  Any torn read, stale cache entry or
-   cross-engine race shows up as a diff.
+   shared-executable race shows up as a diff.
 """
 
 import threading
@@ -140,23 +140,18 @@ def tpch_db():
 
 def test_concurrent_replay_bit_identical_to_serial(tpch_db):
     db = tpch_db
-    engines = ("tuple", "vectorized")
 
     def workload(seed: int) -> list:
-        """The exact statement sequence thread ``seed`` will run."""
+        """The exact statement sequence thread ``seed`` will run: the
+        replay queries, rotated per thread and round."""
         plan = []
         for round_no in range(ROUNDS):
-            for i, name in enumerate(REPLAY_QUERIES):
-                engine = engines[(seed + round_no + i) % len(engines)]
-                plan.append((name, engine))
+            shift = (seed + round_no) % len(REPLAY_QUERIES)
+            plan.extend(REPLAY_QUERIES[shift:] + REPLAY_QUERIES[:shift])
         return plan
 
-    serial = {}
-    for seed in range(THREADS):
-        for name, engine in workload(seed):
-            if (name, engine) not in serial:
-                serial[(name, engine)] = db.execute(
-                    QUERIES[name], engine=engine).rows
+    serial = {name: db.execute(QUERIES[name]).rows
+              for name in REPLAY_QUERIES}
 
     failures: list[str] = []
     barrier = threading.Barrier(THREADS)
@@ -165,12 +160,11 @@ def test_concurrent_replay_bit_identical_to_serial(tpch_db):
         try:
             barrier.wait()
             with db.session() as session:
-                for name, engine in workload(seed):
-                    rows = session.execute(QUERIES[name],
-                                           engine=engine).rows
-                    if rows != serial[(name, engine)]:
+                for name in workload(seed):
+                    rows = session.execute(QUERIES[name]).rows
+                    if rows != serial[name]:
                         failures.append(
-                            f"thread {seed}: {name}/{engine} diverged")
+                            f"thread {seed}: {name} diverged")
         except BaseException as exc:  # pragma: no cover - failure path
             failures.append(f"thread {seed}: {type(exc).__name__}: {exc}")
 

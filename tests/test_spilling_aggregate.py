@@ -1,102 +1,76 @@
-"""Spilling hash aggregation — paper footnote 3.
+"""Local/global aggregate merging — paper footnote 3.
 
 "The implementation, whether hash based or sort based, of aggregate
 functions in a query execution engine requires this ability of splitting
 an aggregate into local and global components, if it has to spill data to
 disk and then recombine it."
 
-The executor's hash aggregate flushes partial-state runs past a group
-threshold and recombines them with the descriptors' local/global merge;
-results must be identical to the unbounded in-memory path.
+Every :class:`~repro.algebra.aggregates.AggregateDescriptor` must
+support that recombination: folding the input in any number of runs and
+merging the runs' partial states equals folding it once — NULLs
+included, for every aggregate function.  Integer values keep the
+comparison exact.
 """
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import (AggregateCall, AggregateFunction, Column,
-                           ColumnRef, DataType)
-from repro.catalog import ColumnDef, TableDef
-from repro.executor.physical import PhysicalExecutor
-from repro.physical.plan import PHashAggregate, PScalarAggregate, PTableScan
-from repro.storage import Storage
+from repro.algebra import AggregateFunction
+from repro.algebra.aggregates import descriptor
+
+ALL_FUNCS = list(AggregateFunction)
 
 
-def build_storage(rows):
-    storage = Storage()
-    table = storage.create(TableDef(
-        "t", [ColumnDef("grp", DataType.INTEGER, False),
-              ColumnDef("val", DataType.INTEGER, True)]))
-    table.insert_many(rows)
-    return storage
+def fold(desc, values):
+    state = desc.initial()
+    for value in values:
+        state = desc.step(state, value)
+    return state
 
 
-def agg_plan(funcs):
-    grp = Column("grp", DataType.INTEGER, False)
-    val = Column("val", DataType.INTEGER, True)
-    scan = PTableScan("t", [grp, val])
-    aggregates = []
-    for func in funcs:
-        out = Column(func.value, DataType.FLOAT)
-        argument = None if func is AggregateFunction.COUNT_STAR \
-            else ColumnRef(val)
-        aggregates.append((out, AggregateCall(func, argument)))
-    return PHashAggregate(scan, [grp], aggregates)
+def fold_in_runs(desc, values, cuts):
+    """Fold each run between consecutive ``cuts`` separately, then merge
+    the partial states left to right."""
+    bounds = [0, *sorted(cuts), len(values)]
+    partials = [fold(desc, values[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
+    merged = partials[0]
+    for partial in partials[1:]:
+        merged = desc.merge(merged, partial)
+    return merged
 
 
-ALL_FUNCS = [AggregateFunction.SUM, AggregateFunction.COUNT,
-             AggregateFunction.COUNT_STAR, AggregateFunction.MIN,
-             AggregateFunction.MAX, AggregateFunction.AVG]
-
-
-class TestSpilling:
-    def test_spilled_equals_in_memory(self):
+class TestLocalGlobalMerge:
+    @pytest.mark.parametrize("func", ALL_FUNCS)
+    def test_runs_of_every_length_merge_to_one_fold(self, func):
         rng = random.Random(7)
-        rows = [(rng.randint(0, 40), rng.choice([None] + list(range(10))))
-                for _ in range(500)]
-        storage = build_storage(rows)
-        plan = agg_plan(ALL_FUNCS)
-        unbounded = Counter(PhysicalExecutor(storage).run(plan))
-        for threshold in (1, 2, 7, 100):
-            spilled = Counter(PhysicalExecutor(
-                storage, aggregate_spill_threshold=threshold).run(plan))
-            assert spilled == unbounded, f"threshold {threshold}"
+        values = [rng.choice([None] + list(range(10))) for _ in range(500)]
+        desc = descriptor(func)
+        expected = desc.final(fold(desc, values))
+        for run in (1, 2, 7, 100):
+            cuts = range(run, len(values), run)
+            assert desc.final(fold_in_runs(desc, values, cuts)) == \
+                expected, f"{func.value} in runs of {run}"
 
-    def test_distinct_disables_spilling_but_stays_correct(self):
-        rows = [(i % 5, i % 3) for i in range(60)]
-        storage = build_storage(rows)
-        grp = Column("grp", DataType.INTEGER, False)
-        val = Column("val", DataType.INTEGER, True)
-        scan = PTableScan("t", [grp, val])
-        out = Column("dc", DataType.INTEGER)
-        plan = PHashAggregate(scan, [grp], [
-            (out, AggregateCall(AggregateFunction.COUNT, ColumnRef(val),
-                                distinct=True))])
-        unbounded = Counter(PhysicalExecutor(storage).run(plan))
-        spilled = Counter(PhysicalExecutor(
-            storage, aggregate_spill_threshold=1).run(plan))
-        assert spilled == unbounded
-        assert all(count == 3 for _, count in unbounded)
-
-    def test_empty_input(self):
-        storage = build_storage([])
-        plan = agg_plan([AggregateFunction.SUM])
-        assert PhysicalExecutor(
-            storage, aggregate_spill_threshold=1).run(plan) == []
+    @pytest.mark.parametrize("func", ALL_FUNCS)
+    def test_empty_runs_are_merge_identities(self, func):
+        desc = descriptor(func)
+        empty = desc.initial()
+        for values in ([], [None], [None, 3, -2]):
+            state = fold(desc, values)
+            assert desc.merge(state, empty) == state
+            assert desc.merge(empty, state) == state
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(0, 8),
-                                   st.one_of(st.none(),
-                                             st.integers(-5, 5))),
-                         max_size=60),
-           threshold=st.integers(1, 10))
-    def test_property_spill_equivalence(self, rows, threshold):
-        storage = build_storage(rows)
-        plan = agg_plan(ALL_FUNCS)
-        unbounded = Counter(PhysicalExecutor(storage).run(plan))
-        spilled = Counter(PhysicalExecutor(
-            storage, aggregate_spill_threshold=threshold).run(plan))
-        assert spilled == unbounded
+    @given(values=st.lists(st.one_of(st.none(), st.integers(-5, 5)),
+                           max_size=60),
+           data=st.data())
+    def test_property_k_runs_equal_one_fold(self, values, data):
+        cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=6))
+        for func in ALL_FUNCS:
+            desc = descriptor(func)
+            assert desc.final(fold_in_runs(desc, values, cuts)) == \
+                desc.final(fold(desc, values)), func.value

@@ -2,18 +2,24 @@
 
 The differential oracle (test_differential.py) establishes end-to-end
 agreement; this module pins the engine's own contracts — batch helpers,
-batch-boundary behavior, error paths, and the engine-specific execution
-decisions that the oracle can only observe indirectly.
+batch-boundary behavior, error paths, and the execution decisions that
+the oracle can only observe indirectly.  Operator shapes are checked
+against the naive interpreter and against the same query at a batch
+size of one row, so a batch-boundary bug cannot hide.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
-from repro import Database, DataType, ExecutionError, ResourceExhausted
+from repro import (FULL, NAIVE, Database, DataType, ExecutionError,
+                   ResourceExhausted)
 from repro.errors import SubqueryReturnedMultipleRows
-from repro.executor import Batch, VectorizedExecutor
-from repro.executor.vectorized import (batch_rows, columns_to_batches,
+from repro.algebra import JoinKind
+from repro.executor import Batch, VectorizedExecutor, vectorized
+from repro.executor.vectorized import (_match_pairs as match_pairs,
+                                       batch_rows, columns_to_batches,
                                        rows_to_batches, take_batch)
 
 
@@ -69,37 +75,29 @@ class TestEngineContracts:
         with pytest.raises(ExecutionError):
             VectorizedExecutor(db.storage, batch_size=0)
 
-    def test_database_rejects_unknown_default_engine(self):
-        with pytest.raises(ValueError):
-            Database(default_engine="columnar")
+    def test_database_has_one_engine(self):
+        with pytest.raises(TypeError):
+            Database(default_engine="vectorized")
+        assert Database().default_engine == "vectorized"
 
     def test_execute_rejects_unknown_engine(self):
         db = make_db()
-        with pytest.raises(ValueError):
-            db.execute("select a from t", engine="columnar")
-
-    def test_default_engine_is_used(self):
-        db = Database(default_engine="vectorized", batch_size=3)
-        db.create_table("t", [("a", DataType.INTEGER, False)],
-                        primary_key=("a",))
-        db.insert("t", [(i,) for i in range(5)])
-        assert sorted(db.execute("select a from t").rows) == \
-            [(i,) for i in range(5)]
+        for engine in ("columnar", "tuple"):
+            with pytest.raises(ValueError,
+                               match="unknown execution engine"):
+                db.execute("select a from t", engine=engine)
 
     def test_results_cross_batch_boundaries(self):
         # 10 rows, batch_size 4: scan yields 4+4+2.
         db = make_db(batch_size=4)
         rows = db.execute("select a from t where b is not null",
                           engine="vectorized").rows
-        reference = db.execute("select a from t where b is not null",
-                               engine="tuple").rows
-        assert rows == reference
+        assert rows == [(1,), (2,), (3,), (5,), (6,), (7,), (9,), (10,)]
 
     def test_batch_size_one_degenerates_to_row_at_a_time(self):
-        db = make_db(batch_size=1)
         sql = "select b, count(*) from t group by b"
-        assert db.execute(sql, engine="vectorized").rows == \
-            db.execute(sql, engine="tuple").rows
+        assert make_db(batch_size=1).execute(sql).rows == \
+            make_db(batch_size=1024).execute(sql).rows
 
     def test_max1row_violation_raises(self):
         db = make_db()
@@ -120,10 +118,12 @@ class TestEngineContracts:
         assert len(stmt.execute([8]).rows) == 2
         assert len(stmt.execute([0]).rows) == 10
 
-    def test_prepared_statement_reports_engine(self):
+    def test_prepare_validates_engine(self):
         db = make_db()
         stmt = db.prepare("select a from t", engine="vectorized")
-        assert "vectorized" in repr(stmt)
+        assert len(stmt.execute().rows) == 10
+        with pytest.raises(ValueError):
+            db.prepare("select a from t", engine="tuple")
 
     def test_naive_mode_ignores_engine(self):
         db = make_db()
@@ -135,8 +135,8 @@ class TestEngineContracts:
 class TestOperatorPaths:
     """Shapes chosen to land on specific _prepare_* implementations."""
 
-    def _db(self):
-        db = Database(batch_size=3)
+    def _db(self, batch_size=3):
+        db = Database(batch_size=batch_size)
         db.create_table("l", [("id", DataType.INTEGER, False),
                               ("k", DataType.INTEGER, True),
                               ("v", DataType.INTEGER, True)],
@@ -152,10 +152,12 @@ class TestOperatorPaths:
         return db
 
     def _agree(self, db, sql):
-        vec = db.execute(sql, engine="vectorized")
-        ref = db.execute(sql, engine="tuple")
-        assert vec.rows == ref.rows, sql
-        return vec.rows
+        """Rows of ``sql`` on ``db``, checked against the naive
+        interpreter and against a one-row-per-batch run."""
+        rows = db.execute(sql, FULL).rows
+        assert Counter(rows) == Counter(db.execute(sql, NAIVE).rows), sql
+        assert self._db(batch_size=1).execute(sql, FULL).rows == rows, sql
+        return rows
 
     def test_hash_join_null_keys_never_match(self):
         rows = self._agree(
@@ -195,10 +197,36 @@ class TestOperatorPaths:
             db, "select count(*), sum(l.v) from l where l.k = 99")
         assert rows == [(0, None)]
 
-    def test_correlated_subquery_runs_row_engine_inner(self):
+    def test_correlated_scalar_subquery(self):
         self._agree(self._db(),
                     "select l.id, (select sum(r.w) from r where r.k = l.k)"
                     " from l")
+
+    @pytest.mark.parametrize("sql,kind", [
+        ("select l.id from l where l.k in (select r.k from r)",
+         JoinKind.LEFT_SEMI),
+        ("select l.id from l where not exists"
+         " (select r.id from r where r.k = l.k)", JoinKind.LEFT_ANTI),
+    ])
+    def test_semi_anti_hash_join_low_ndv_build(self, monkeypatch, sql,
+                                               kind):
+        # 600 build rows over two keys: a probe row that matches stands
+        # for a 300-row bucket, but a semi or anti join only asks
+        # whether the bucket exists — one candidate per probe row.
+        db = self._db()
+        db.insert("r", [(i, 1 + i % 2, i) for i in range(10, 610)])
+        seen = []
+
+        def recording(kind_, nrows, cli, cri, mask, pad):
+            seen.append((kind_, nrows, len(cli), len(cri)))
+            return match_pairs(kind_, nrows, cli, cri, mask, pad)
+        monkeypatch.setattr(vectorized, "_match_pairs", recording)
+        rows = db.execute(sql, FULL).rows
+        monkeypatch.undo()
+        assert Counter(rows) == Counter(db.execute(sql, NAIVE).rows)
+        assert any(k is kind for k, *_ in seen), seen
+        for _, nrows, candidates, right in seen:
+            assert candidates <= nrows and right == 0
 
 
 class TestMorselDeterminism:

@@ -207,8 +207,7 @@ def test_reseal_recomputes_zones():
         assert lo == min(values) and hi == max(values)
 
 
-@pytest.mark.parametrize("engine", ["tuple", "vectorized"])
-def test_pruning_is_invisible_to_results(engine):
+def test_pruning_is_invisible_to_results():
     db = make_db(chunk_rows=2)
     for sql, expected in [
         ("select t.a from t where t.a >= 6", [(6,), (7,)]),
@@ -216,7 +215,7 @@ def test_pruning_is_invisible_to_results(engine):
         ("select t.a from t where t.a = 3", [(3,)]),
         ("select count(*) from t where t.b is not null", [(8,)]),
     ]:
-        assert db.execute(sql, FULL, engine=engine).rows == expected
+        assert db.execute(sql, FULL).rows == expected
 
 
 class TestChunksSkippedCounter:
